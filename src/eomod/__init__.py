@@ -12,7 +12,6 @@ from .dynamics import (
     propagator,
     revival_scan,
 )
-from .kernels import active_backend
 from .numkernel import EigenDecomposition, expm_skew_hermitian, hermitian_eigen
 from .su2 import (
     GeneratorSet,

@@ -3,16 +3,18 @@
 Everything here works on plain complex ``numpy`` arrays (row-major, any
 dimension the mode models need, up to ~1000).  Only two operations are
 exposed: the Hermitian eigendecomposition and the matrix exponential of a
-skew-Hermitian matrix.  The exponential goes through the eigendecomposition
-of ``iA`` -- for skew-Hermitian input the spectral calculus is exact and the
-result is unitary by construction, so no scaling-and-squaring is needed.
+skew-Hermitian matrix.  The eigendecomposition is LAPACK's, through
+``numpy.linalg.eigh``.  Callers only use it through spectral projectors
+(``V f(w) V†``), which do not depend on how eigenvectors of repeated
+eigenvalues are chosen or phased.
+The exponential goes through the eigendecomposition of ``iA`` -- for
+skew-Hermitian input the spectral calculus is exact and the result is
+unitary by construction, so no scaling-and-squaring is needed.
 """
 
 from typing import NamedTuple
 
 import numpy as np
-
-from .kernels import jacobi_eigh
 
 HERM_TOL = 1e-12
 RECON_TOL = 1e-10
@@ -46,7 +48,7 @@ def hermitian_eigen(A) -> EigenDecomposition:
             f"hermitian_eigen: matrix is not Hermitian "
             f"(max deviation {dev:.3e}, scale {scale:.3e})"
         )
-    w, V = jacobi_eigh(M)
+    w, V = np.linalg.eigh(M)
     return EigenDecomposition(values=w, vectors=V)
 
 

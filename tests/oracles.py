@@ -1,7 +1,7 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the code paths they check: the Sturm bisection
-never touches the Jacobi sweeps, the RK4 integrator never touches the
+never touches the LAPACK eigensolver, the RK4 integrator never touches the
 spectral sum, and the series oracles use exact integer factorials.
 """
 

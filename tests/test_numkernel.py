@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from eomod.numkernel import HERM_TOL, RECON_TOL, expm_skew_hermitian, hermitian_eigen
 from eomod.su2 import build_generators
@@ -61,6 +63,55 @@ def test_reconstruction_random(n):
     assert np.all(np.diff(dec.values) >= 0.0)
     gram = dec.vectors.conj().T @ dec.vectors
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+
+
+def assert_eigen_contract(A, dec):
+    """Reconstruction, orthonormality and ascending float64 eigenvalues."""
+    n = A.shape[0]
+    norm = max(np.max(np.abs(dec.values)), 1.0)
+    assert dec.values.dtype == np.float64
+    assert np.all(np.diff(dec.values) >= 0.0)
+    recon = (dec.vectors * dec.values) @ dec.vectors.conj().T
+    assert np.max(np.abs(recon - A)) < RECON_TOL * norm
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+
+
+def test_repeated_eigenvalues_direct_sum():
+    # F ⊕ F: every ladder eigenvalue of 2 S_y (S = 3) appears twice
+    F = build_generators(3).F
+    A = np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F]])
+    dec = hermitian_eigen(A)
+    assert_eigen_contract(A, dec)
+    assert np.max(np.abs(dec.values - np.repeat(np.arange(-6, 7, 2), 2))) < 1e-12
+
+
+def test_repeated_eigenvalues_identity_plus_rank_one():
+    # I + u u^H: eigenvalue 1 with multiplicity n-1, and 1 + |u|^2
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    A = np.eye(9) + np.outer(u, u.conj())
+    dec = hermitian_eigen(A)
+    assert_eigen_contract(A, dec)
+    expected = np.append(np.ones(8), 1.0 + np.vdot(u, u).real)
+    assert np.max(np.abs(dec.values - expected)) < RECON_TOL * expected[-1]
+
+
+@seed(2718)
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 64), matrix_seed=st.integers(0, 2**32 - 1),
+       degenerate=st.booleans())
+def test_eigen_contract_property(n, matrix_seed, degenerate):
+    rng = np.random.default_rng(matrix_seed)
+    if degenerate:
+        # few distinct integer eigenvalues in a random unitary basis
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        A = (Q * rng.integers(-3, 4, n)) @ Q.conj().T
+        A = (A + A.conj().T) / 2.0
+    else:
+        A = random_hermitian(n, rng)
+    assert_eigen_contract(A, hermitian_eigen(A))
 
 
 @pytest.mark.parametrize("n", [3, 8, 15])

@@ -1,0 +1,54 @@
+"""Declared dependencies match what the package imports."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def imported_top_level_names():
+    names = set()
+    for path in (SRC / "eomod").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower().replace("-", "_")
+            for d in deps}
+
+
+def test_every_dependency_is_imported():
+    declared = declared_dependencies()
+    assert declared
+    assert declared <= imported_top_level_names()
+
+
+def test_import_loads_only_declared_dependencies():
+    # a dependency that is dropped from pyproject.toml must not come back
+    # through an optional import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = ("import json, sys; before = set(sys.modules); import eomod; "
+             "print(json.dumps(sorted({m.split('.')[0] for m in "
+             "set(sys.modules) - before} - set(sys.stdlib_module_names))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert set(json.loads(out.stdout)) <= declared_dependencies() | {"eomod"}

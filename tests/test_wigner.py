@@ -6,6 +6,7 @@ import pytest
 from eomod.numkernel import expm_skew_hermitian
 from eomod.su2 import build_generators
 from eomod.wigner import (
+    FACTORIAL_S_MAX,
     CapabilityError,
     jacobi_bessel_limit_check,
     jacobi_poly,
@@ -107,6 +108,16 @@ class TestFactorialRoute:
     def test_large_spin_guard(self):
         with pytest.raises(CapabilityError):
             wigner_d_factorial(25.5, 0.3)
+
+    def test_precision_cap(self):
+        # the cap is the largest spin meeting the three-route tolerance
+        thetas = np.linspace(0.0, math.pi, 32)[1:-1]
+        worst = max(np.max(np.abs(wigner_d_factorial(FACTORIAL_S_MAX, th).entries
+                                  - wigner_d_exponential(FACTORIAL_S_MAX, th).entries))
+                    for th in thetas)
+        assert worst < 1e-10
+        with pytest.raises(CapabilityError):
+            wigner_d_factorial(FACTORIAL_S_MAX + 0.5, 0.3)
 
     def test_matches_exponential(self):
         rng = np.random.default_rng(8)
