@@ -158,6 +158,8 @@ def _merge(layers) -> dict:
 
 def _build_config(merged) -> RunConfig:
     omega = float(merged["omega"])
+    if not (omega > 0.0 and math.isfinite(omega)):  # before T = 2 pi / omega
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if merged.get("period_t"):
         t_val = 2.0 * math.pi / omega
     elif merged.get("t") is not None:

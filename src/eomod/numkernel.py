@@ -43,7 +43,7 @@ def hermitian_eigen(A) -> EigenDecomposition:
     M = _as_square(A, "hermitian_eigen")
     scale = np.max(np.abs(M)) if M.size else 0.0
     dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > HERM_TOL * max(scale, 1.0):
+    if not dev <= HERM_TOL * max(scale, 1.0):  # NaN and inf fail too
         raise ValueError(
             f"hermitian_eigen: matrix is not Hermitian "
             f"(max deviation {dev:.3e}, scale {scale:.3e})"
@@ -61,7 +61,7 @@ def expm_skew_hermitian(A) -> np.ndarray:
     M = _as_square(A, "expm_skew_hermitian")
     scale = np.max(np.abs(M)) if M.size else 0.0
     dev = np.max(np.abs(M + M.conj().T)) if M.size else 0.0
-    if dev > HERM_TOL * max(scale, 1.0):
+    if not dev <= HERM_TOL * max(scale, 1.0):  # NaN and inf fail too
         raise ValueError(
             f"expm_skew_hermitian: matrix is not skew-Hermitian "
             f"(max deviation {dev:.3e}, scale {scale:.3e})"

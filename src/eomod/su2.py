@@ -13,10 +13,18 @@ from typing import NamedTuple
 import numpy as np
 
 
+# largest spin any layer accepts: 2S+1 = 2001 modes; dense (2S+1)^2 matrices
+# beyond it take seconds and hundreds of MB per solve, or fail to allocate
+S_MAX = 1000
+
+
 def _check_spin(S):
     two_s = 2.0 * float(S)
     if not math.isfinite(two_s) or abs(two_s - round(two_s)) > 1e-9 or round(two_s) < 1:
         raise ValueError(f"S must be a half-integer with 2S+1 >= 2, got {S}")
+    if two_s > 2 * S_MAX:
+        raise ValueError(f"S must be at most {S_MAX} (2S+1 <= {2 * S_MAX + 1} modes), "
+                         f"got {S}")
     return round(two_s)
 
 

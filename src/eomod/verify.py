@@ -1,10 +1,13 @@
 """Named invariant suites behind the ``verify`` CLI subcommand.
 
-Each check is a zero-argument callable returning ``(tolerance, measured)``;
-it passes when ``measured <= tolerance``.  The quick suite covers the
-algebra, rotation identities, unitarity, revivals and Bessel identities in
-a few seconds; the full suite adds the three-route Wigner agreement, the
-large-spin Bessel limit and a large random eigensolver round-trip.
+Every invariant's residual is computed here once, by a public per-case
+measure (``*_defect``) that the tests also call on their own samples.
+Each check is a zero-argument callable returning ``(tolerance, measured)``,
+the worst measure over the check's fixed sample; it passes when
+``measured <= tolerance``.  The quick suite covers the algebra, rotation
+identities, unitarity, revivals and Bessel identities in a few seconds; the
+full suite adds the three-route Wigner agreement, the large-spin Bessel
+limit and a large random eigensolver round-trip.
 """
 
 import math
@@ -35,61 +38,82 @@ def _fig_params(gamma, S=3, detune=0.1):
                                              gamma=gamma, T=_T)
 
 
+def su2_algebra_defect(S):
+    """Largest su(2) commutator, Casimir or F = i(A- - A+) residual at spin S."""
+    g = su2.build_generators(S)
+    eye = np.eye(g.A0.shape[0])
+    return float(max(
+        np.max(np.abs(g.A0 @ g.Aplus - g.Aplus @ g.A0 - g.Aplus)),
+        np.max(np.abs(g.A0 @ g.Aminus - g.Aminus @ g.A0 + g.Aminus)),
+        np.max(np.abs(g.Aplus @ g.Aminus - g.Aminus @ g.Aplus - 2.0 * g.A0)),
+        np.max(np.abs(g.A0 @ g.A0
+                      + 0.5 * (g.Aplus @ g.Aminus + g.Aminus @ g.Aplus)
+                      - S * (S + 1.0) * eye)),
+        np.max(np.abs(g.F - 1j * (g.Aminus - g.Aplus))),
+    ))
+
+
 def check_su2_algebra():
-    worst = 0.0
-    for S in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
-        g = su2.build_generators(S)
-        eye = np.eye(g.A0.shape[0])
-        worst = max(
-            worst,
-            np.max(np.abs(g.A0 @ g.Aplus - g.Aplus @ g.A0 - g.Aplus)),
-            np.max(np.abs(g.A0 @ g.Aminus - g.Aminus @ g.A0 + g.Aminus)),
-            np.max(np.abs(g.Aplus @ g.Aminus - g.Aminus @ g.Aplus - 2.0 * g.A0)),
-            np.max(np.abs(g.A0 @ g.A0
-                          + 0.5 * (g.Aplus @ g.Aminus + g.Aminus @ g.Aplus)
-                          - S * (S + 1.0) * eye)),
-            np.max(np.abs(g.F - 1j * (g.Aminus - g.Aplus))),
-        )
-    return 1e-12, float(worst)
+    return 1e-12, max(su2_algebra_defect(S)
+                      for S in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0))
+
+
+def d_pi_defect(S):
+    """Largest deviation of d^S(pi) from the exact anti-diagonal sign matrix."""
+    dpi = wigner.wigner_d_exponential(S, math.pi).entries
+    return float(np.max(np.abs(dpi - wigner._d_pi(round(2 * S)))))
+
+
+def orthogonality_defect(S, theta):
+    """Largest entry of d d^T - I for d = d^S(theta)."""
+    D = wigner.wigner_d_exponential(S, theta).entries
+    return float(np.max(np.abs(D @ D.T - np.eye(D.shape[0]))))
 
 
 def check_wigner_identities():
     worst = 0.0
     for S in (3.0, 3.5):
-        dim = round(2 * S) + 1
-        eye = np.eye(dim)
         d0 = wigner.wigner_d_exponential(S, 0.0).entries
-        dpi = wigner.wigner_d_exponential(S, math.pi).entries
-        expected_pi = np.zeros((dim, dim))
-        for i in range(dim):
-            expected_pi[i, dim - 1 - i] = -1.0 if i % 2 else 1.0
-        worst = max(worst, np.max(np.abs(d0 - eye)),
-                    np.max(np.abs(dpi - expected_pi)))
+        worst = max(worst, np.max(np.abs(d0 - np.eye(d0.shape[0]))),
+                    d_pi_defect(S))
         for theta in (0.4, 1.3, 2.8):
             D = wigner.wigner_d_exponential(S, theta).entries
-            worst = max(worst, np.max(np.abs(D @ D.T - eye)),
+            worst = max(worst, orthogonality_defect(S, theta),
                         np.max(np.abs(np.sum(D * D, axis=1) - 1.0)))
     return 1e-12, float(worst)
 
 
+def unitarity_defect(p):
+    """Largest entry of R R^dagger - I for the propagator of ``p``."""
+    R = dynamics.propagator(p).entries
+    return float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0]))))
+
+
 def check_propagator_unitarity():
-    worst = 0.0
-    for gamma in (2.0, 10.0, 24.25):
-        R = dynamics.propagator(_fig_params(gamma)).entries
-        worst = max(worst, np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0]))))
-    return 1e-12, float(worst)
+    return 1e-12, max(unitarity_defect(_fig_params(gamma))
+                      for gamma in (2.0, 10.0, 24.25))
+
+
+def revival_defect(S, frac):
+    """Distance from the bare central mode at gamma = Omega(2S+1)/frac, resonant."""
+    p = _fig_params(_OMEGA * (2 * S + 1) / frac, S=S, detune=0.0)
+    occ = dynamics.mode_occupations(p, 1.0)
+    expected = np.zeros(2 * S + 1)
+    expected[S] = 1.0
+    return float(np.max(np.abs(occ - expected)))
 
 
 def check_exact_revival():
-    worst = 0.0
-    for S in (3, 5):
-        for frac in (8.0, 4.0):
-            p = _fig_params(_OMEGA * (2 * S + 1) / frac, S=S, detune=0.0)
-            occ = dynamics.mode_occupations(p, 1.0)
-            expected = np.zeros(2 * S + 1)
-            expected[S] = 1.0
-            worst = max(worst, np.max(np.abs(occ - expected)))
-    return 1e-10, float(worst)
+    return 1e-10, max(revival_defect(S, frac)
+                      for S in (3, 5) for frac in (8.0, 4.0))
+
+
+def closed_form_defect(p):
+    """Largest | |R| - |d(2 beta~)| | entry, for ``p`` with sin_product in [0, 1]."""
+    cf = dynamics.closed_form_angles(p)
+    R = dynamics.propagator(p).entries
+    d = wigner.wigner_d_exponential(p.S, cf.two_beta_tilde).entries
+    return float(np.max(np.abs(np.abs(R) - np.abs(d))))
 
 
 def check_closed_form_magnitude():
@@ -101,14 +125,19 @@ def check_closed_form_magnitude():
         p = su2.ModulatorParams.from_detuning(
             S=S, Omega=_OMEGA, detune=rng.uniform(-1.0, 1.0),
             gamma=rng.uniform(0.0, 5.0), T=rng.uniform(0.0, 4.0))
-        cf = dynamics.closed_form_angles(p)
-        if not 0.0 <= cf.sin_product <= 1.0:
+        if not 0.0 <= dynamics.closed_form_angles(p).sin_product <= 1.0:
             continue
         done += 1
-        R = dynamics.propagator(p).entries
-        d = wigner.wigner_d_exponential(S, cf.two_beta_tilde).entries
-        worst = max(worst, np.max(np.abs(np.abs(R) - np.abs(d))))
-    return 1e-9, float(worst)
+        worst = max(worst, closed_form_defect(p))
+    return 1e-9, worst
+
+
+def ladder_defect(p):
+    """Largest gap of the quasi-energies from omega*m~ + 2 Gamma k, over Gamma."""
+    gamma_rabi = su2.mixing_angle(p).Gamma
+    vals = hermitian_eigen(su2.quasi_energy_matrix(p)).values
+    ladder = p.omega * p.m_tilde + 2.0 * gamma_rabi * su2.mode_offsets(p.S)
+    return float(np.max(np.abs(vals - ladder)) / gamma_rabi)
 
 
 def check_quasi_energy_spacing():
@@ -120,52 +149,57 @@ def check_quasi_energy_spacing():
                 S=S, Omega=_OMEGA, detune=rng.uniform(-2.0, 2.0),
                 gamma=rng.uniform(0.05, 20.0), T=_T,
                 m_tilde=float(rng.integers(0, 3)))
-            gamma_rabi = su2.mixing_angle(p).Gamma
-            vals = hermitian_eigen(su2.quasi_energy_matrix(p)).values
-            ladder = p.omega * p.m_tilde + 2.0 * gamma_rabi * su2.mode_offsets(S)
-            worst = max(worst, np.max(np.abs(vals - ladder)) / gamma_rabi)
-    return 1e-10, float(worst)
+            worst = max(worst, ladder_defect(p))
+    return 1e-10, worst
+
+
+def photon_defect(p):
+    """Distance of the summed occupations from the single input photon."""
+    return abs(float(dynamics.mode_occupations(p, 1.0).sum()) - 1.0)
 
 
 def check_photon_conservation():
-    worst = 0.0
-    for gamma in (2.0, 10.0, 24.25):
-        occ = dynamics.mode_occupations(_fig_params(gamma), 1.0)
-        worst = max(worst, abs(float(occ.sum()) - 1.0))
-    return 1e-12, float(worst)
+    return 1e-12, max(photon_defect(_fig_params(gamma))
+                      for gamma in (2.0, 10.0, 24.25))
 
 
 def check_bessel_series_value():
     return 1e-12, abs(unrestricted.bessel_j(1, 2.0) - _J1_OF_2)
 
 
+def bessel_recurrence_defect(x):
+    """Largest J_{n-1} + J_{n+1} - (2n/x) J_n, n = 1..50, relative to max |J_n(x)|."""
+    seq = unrestricted.bessel_j_sequence(52, x)
+    n = np.arange(1, 51)
+    resid = seq[n - 1] + seq[n + 1] - (2.0 * n / x) * seq[n]
+    return float(np.max(np.abs(resid)) / np.max(np.abs(seq)))
+
+
 def check_bessel_recurrence():
-    worst = 0.0
-    for x in (0.1, 1.0, 5.0, 17.3, 50.0):
-        seq = unrestricted.bessel_j_sequence(52, x)
-        scale = np.max(np.abs(seq))
-        for n in range(1, 51):
-            resid = seq[n - 1] + seq[n + 1] - (2.0 * n / x) * seq[n]
-            worst = max(worst, abs(resid) / scale)
-    return 1e-10, float(worst)
+    return 1e-10, max(bessel_recurrence_defect(x)
+                      for x in (0.1, 1.0, 5.0, 17.3, 50.0))
+
+
+def bessel_normalization_defect(x):
+    """Distance of J_0(x)^2 + 2 sum_n J_n(x)^2, cut at ceil(x) + 30, from 1."""
+    seq = unrestricted.bessel_j_sequence(int(math.ceil(x)) + 30, x)
+    return float(abs(seq[0] ** 2 + 2.0 * float(np.sum(seq[1:] ** 2)) - 1.0))
 
 
 def check_bessel_normalization():
-    worst = 0.0
-    for x in (0.5, 2.7, 10.0, 41.9):
-        seq = unrestricted.bessel_j_sequence(int(math.ceil(x)) + 30, x)
-        total = seq[0] ** 2 + 2.0 * float(np.sum(seq[1:] ** 2))
-        worst = max(worst, abs(total - 1.0))
-    return 1e-12, float(worst)
+    return 1e-12, max(bessel_normalization_defect(x)
+                      for x in (0.5, 2.7, 10.0, 41.9))
+
+
+def bessel_parity_defect(n, x):
+    """|J_{-n}(x) - (-1)^n J_n(x)|."""
+    return abs(unrestricted.bessel_j(-n, x)
+               - (-1.0) ** n * unrestricted.bessel_j(n, x))
 
 
 def check_bessel_parity():
-    worst = 0.0
-    for n in (1, 2, 7, 30):
-        for x in (0.3, 4.2, 26.0):
-            worst = max(worst, abs(unrestricted.bessel_j(-n, x)
-                                   - (-1.0) ** n * unrestricted.bessel_j(n, x)))
-    return 0.0, float(worst)
+    return 0.0, max(bessel_parity_defect(n, x)
+                    for n in (1, 2, 7, 30) for x in (0.3, 4.2, 26.0))
 
 
 def check_classical_fourier():
@@ -173,63 +207,68 @@ def check_classical_fourier():
                       unrestricted.classical_signal_check(5.0, 4096))
 
 
-def check_scan_bounds():
+def scan_bounds_defect(gamma):
+    """How far either model's p_rel leaves [0, 1] on the reference filter grid."""
     grid = np.arange(-60.0, 60.001, 0.5)
+    sc = spectral_scan(_fig_params(gamma), FilterSpec(half_width=4.0), grid)
     worst = 0.0
-    for gamma in (2.0, 24.25):
-        sc = spectral_scan(_fig_params(gamma), FilterSpec(half_width=4.0), grid)
-        for curve in (sc.restricted, sc.unrestricted):
-            worst = max(worst, float(np.max(curve - 1.0)), float(np.max(-curve)))
-    return 0.0, worst
+    for curve in (sc.restricted, sc.unrestricted):
+        worst = max(worst, float(np.max(curve - 1.0)), float(np.max(-curve)))
+    return worst
+
+
+def check_scan_bounds():
+    return 0.0, max(scan_bounds_defect(gamma) for gamma in (2.0, 24.25))
+
+
+def three_route_defect(S, theta):
+    """Largest gap of the factorial and Jacobi d^S(theta) from the exponential route."""
+    de = wigner.wigner_d_exponential(S, theta).entries
+    df = wigner.wigner_d_factorial(S, theta).entries
+    dj = wigner.wigner_d_jacobi(S, theta).entries
+    return float(max(np.max(np.abs(de - df)), np.max(np.abs(de - dj))))
 
 
 def check_wigner_three_route():
     rng = np.random.default_rng(7)
     thetas = rng.uniform(1e-6, math.pi - 1e-6, size=20)
-    worst = 0.0
-    for two_s in range(1, 21):
-        S = two_s / 2.0
-        for theta in thetas:
-            de = wigner.wigner_d_exponential(S, theta).entries
-            df = wigner.wigner_d_factorial(S, theta).entries
-            dj = wigner.wigner_d_jacobi(S, theta).entries
-            worst = max(worst, np.max(np.abs(de - df)), np.max(np.abs(de - dj)))
-    return 1e-10, float(worst)
+    return 1e-10, max(three_route_defect(two_s / 2.0, theta)
+                      for two_s in range(1, 21) for theta in thetas)
 
 
 def check_wigner_orthogonality_s200():
-    D = wigner.wigner_d_exponential(200, 1.234).entries
-    return 1e-12, float(np.max(np.abs(D @ D.T - np.eye(401))))
+    return 1e-12, orthogonality_defect(200, 1.234)
+
+
+def asymptotic_defect(gamma, S):
+    """Largest | |R_{dm,0}| - |J_dm(mu)| | over dm = -5..5 at this coupling and spin."""
+    table = unrestricted.asymptotic_compare(_fig_params(gamma, S=S), range(-5, 6))
+    return max(abs(r - b) for _, r, b in table)
 
 
 def check_asymptotic_limit():
-    worst = 0.0
-    for gamma in (2.0, 10.0):
-        p = _fig_params(gamma, S=200)
-        table = unrestricted.asymptotic_compare(p, range(-5, 6))
-        worst = max(worst, max(abs(r - b) for _, r, b in table))
-    return 1e-2, float(worst)
+    return 1e-2, max(asymptotic_defect(gamma, 200) for gamma in (2.0, 10.0))
 
 
 def check_asymptotic_monotone():
     worst_ratio = 0.0
     for gamma in (2.0, 10.0):
-        diffs = []
-        for S in (50, 100, 200):
-            table = unrestricted.asymptotic_compare(_fig_params(gamma, S=S),
-                                                    range(-5, 6))
-            diffs.append(max(abs(r - b) for _, r, b in table))
+        diffs = [asymptotic_defect(gamma, S) for S in (50, 100, 200)]
         for small, big in zip(diffs[1:], diffs[:-1]):
             worst_ratio = max(worst_ratio, small / big)
     return 1.1, float(worst_ratio)
 
 
+def jacobi_bessel_defect(alpha, beta_param, z):
+    """Relative gap of the Jacobi -> Bessel limit at degree 500."""
+    lhs, rhs = wigner.jacobi_bessel_limit_check(alpha, beta_param, z, 500)
+    return abs(lhs - rhs) / abs(rhs)
+
+
 def check_jacobi_bessel_limit():
-    worst = 0.0
-    for alpha, beta_param, z in ((0, 0.0, 2.0), (1, 0.0, 2.0), (2, 1.0, 3.0)):
-        lhs, rhs = wigner.jacobi_bessel_limit_check(alpha, beta_param, z, 500)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return 1e-2, float(worst)
+    return 1e-2, max(jacobi_bessel_defect(alpha, beta_param, z)
+                     for alpha, beta_param, z in ((0, 0.0, 2.0), (1, 0.0, 2.0),
+                                                  (2, 1.0, 3.0)))
 
 
 def check_eigen_reconstruction():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eomod import cli, verify
 
@@ -230,3 +232,37 @@ class TestVerifyCommand:
 
     def test_unknown_level_rejected(self):
         assert run(["verify", "sloppy"]) == 2
+
+
+# finite flag values: zeros of both signs, negatives, tiny and huge
+# magnitudes, and a share of ordinary positive ones so that runs also succeed
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e3, 1e3), st.floats(1e-3, 1e2))
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from(["spectrum", "gamma-scan"])),
+            f"--s={draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))!r}"]
+    for flag in ("--omega", "--detune", "--gamma", "--m-tilde", "--filter-hw",
+                 "--display-unit"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_VALUES)!r}")
+    t = draw(st.one_of(st.none(), _VALUES))
+    argv.append("--period-t" if t is None else f"--t={t!r}")
+    if argv[0] == "spectrum":
+        argv.append("--scan=-1:1:1")
+    else:
+        argv += ["--dm=0", "--gamma-grid=0:1:0.5"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+@example(argv=["spectrum", "--omega", "0", "--scan=0:1:1"])
+@example(argv=["gamma-scan", "--omega", "-0", "--gamma-grid=0:1:1"])
+@example(argv=["spectrum", "--s", "1e6", "--scan=-1:1:1"])
+def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eomod.numkernel import HERM_TOL, RECON_TOL, expm_skew_hermitian, hermitian_eigen
 from eomod.su2 import build_generators
+from eomod.wigner import _d_pi
 
 from oracles import tridiag_eigenvalues_sturm
 
@@ -46,8 +47,10 @@ def test_rejects_non_square():
 
 
 def test_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for A in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan, 1.0], [0.0, 1.0]],
+              [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            hermitian_eigen(np.array(A))
 
 
 @pytest.mark.parametrize("n", [2, 7, 33, 128, 501])
@@ -141,10 +144,7 @@ def test_expm_matches_d_pi_pattern():
     # exp(-i (pi/2) 2S_y) at S=3 is the anti-diagonal +-1 rotation by pi
     F = build_generators(3).F
     out = expm_skew_hermitian(-1j * (np.pi / 2.0) * F)
-    expected = np.zeros((7, 7))
-    for i in range(7):
-        expected[i, 6 - i] = (-1.0) ** i
-    assert np.max(np.abs(out - expected)) < 1e-12
+    assert np.max(np.abs(out - _d_pi(6))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5, 24, 80])
@@ -156,8 +156,10 @@ def test_expm_unitarity(n):
 
 
 def test_expm_rejects_non_skew():
-    with pytest.raises(ValueError):
-        expm_skew_hermitian(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    for A in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, np.nan], [0.0, 0.0]],
+              [[0.0, 1j * np.inf], [1j * np.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            expm_skew_hermitian(np.array(A))
 
 
 def test_hermiticity_tolerance_boundary():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from eomod import verify
 from eomod.numkernel import hermitian_eigen
 from eomod.su2 import (
+    S_MAX,
     ModulatorParams,
     build_generators,
     coupling_weight,
@@ -51,13 +53,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("S", [0.5, 1, 1.5, 2, 3, 5, 6])
     def test_commutators_and_casimir(self, S):
-        g = build_generators(S)
-        eye = np.eye(g.A0.shape[0])
-        assert np.max(np.abs(g.A0 @ g.Aplus - g.Aplus @ g.A0 - g.Aplus)) < 1e-12
-        assert np.max(np.abs(g.A0 @ g.Aminus - g.Aminus @ g.A0 + g.Aminus)) < 1e-12
-        assert np.max(np.abs(g.Aplus @ g.Aminus - g.Aminus @ g.Aplus - 2 * g.A0)) < 1e-12
-        casimir = g.A0 @ g.A0 + 0.5 * (g.Aplus @ g.Aminus + g.Aminus @ g.Aplus)
-        assert np.max(np.abs(casimir - S * (S + 1) * eye)) < 1e-12
+        assert verify.su2_algebra_defect(S) < 1e-12
 
     def test_f_matrix_structure(self):
         g = build_generators(2)
@@ -77,6 +73,10 @@ class TestGenerators:
             build_generators(0.3)
         with pytest.raises(ValueError):
             build_generators(0)
+        assert len(mode_offsets(S_MAX)) == 2 * S_MAX + 1
+        for S in (S_MAX + 0.5, 1e6):
+            with pytest.raises(ValueError):
+                build_generators(S)
 
 
 class TestParams:
@@ -160,7 +160,4 @@ class TestQuasiEnergy:
                        detune=rng.uniform(-2, 2),
                        gamma=rng.uniform(0.05, 20),
                        m_tilde=float(rng.integers(0, 4)))
-            rabi = mixing_angle(p).Gamma
-            vals = hermitian_eigen(quasi_energy_matrix(p)).values
-            ladder = p.omega * p.m_tilde + 2 * rabi * mode_offsets(p.S)
-            assert np.max(np.abs(vals - ladder)) < 1e-10 * rabi
+            assert verify.ladder_defect(p) < 1e-10
