@@ -70,6 +70,12 @@ def orthogonality_defect(S, theta):
     return float(np.max(np.abs(D @ D.T - np.eye(D.shape[0]))))
 
 
+def row_norm_defect(S, theta):
+    """Largest distance of a row norm of d^S(theta) from 1."""
+    D = wigner.wigner_d_exponential(S, theta).entries
+    return float(np.max(np.abs(np.sum(D * D, axis=1) - 1.0)))
+
+
 def check_wigner_identities():
     worst = 0.0
     for S in (3.0, 3.5):
@@ -77,9 +83,8 @@ def check_wigner_identities():
         worst = max(worst, np.max(np.abs(d0 - np.eye(d0.shape[0]))),
                     d_pi_defect(S))
         for theta in (0.4, 1.3, 2.8):
-            D = wigner.wigner_d_exponential(S, theta).entries
             worst = max(worst, orthogonality_defect(S, theta),
-                        np.max(np.abs(np.sum(D * D, axis=1) - 1.0)))
+                        row_norm_defect(S, theta))
     return 1e-12, float(worst)
 
 

@@ -9,7 +9,6 @@ the first verified build.  Residuals come from the per-case measures in
 inputs and tolerance are a subset of a check's are covered by it alone:
 
 * A1 (su(2) commutators and Casimir): ``su2-algebra``
-* A4 (exact revival at Omega(2S+1)/8 and /4): ``exact-revival``
 * A6 recurrence: ``bessel-recurrence``; normalization:
   ``bessel-normalization``; Fourier coefficients: ``classical-fourier``
 * A8 (Jacobi -> Bessel at n = 500): ``jacobi-bessel-limit``
@@ -82,6 +81,13 @@ def test_a3_propagator_vs_integrator():
     ok = worst < 1e-8 and worst_unitary < 1e-12
     report("A3", ok, f"|R| vs RK4 {worst:.3e} (tol 1e-8), "
                      f"unitarity {worst_unitary:.3e} (tol 1e-12)")
+
+
+def test_a4_exact_revival():
+    worst = max(verify.revival_defect(S, frac)
+                for S in (3, 5) for frac in (8.0, 4.0))
+    report("A4", worst < 1e-10,
+           f"revival at Omega(2S+1)/8 and /4: dev {worst:.3e} (tol 1e-10)")
 
 
 def test_a5_closed_form_magnitude():

@@ -109,6 +109,11 @@ class TestModeOccupations:
         expected[3] = 1.0
         assert np.max(np.abs(occ - expected)) < 1e-14
 
+    @pytest.mark.parametrize("S", [3, 5])
+    @pytest.mark.parametrize("frac", [8.0, 4.0])
+    def test_exact_revival(self, S, frac):
+        assert verify.revival_defect(S, frac) < 1e-10
+
     def test_conservation(self):
         for gamma in (2.0, 10.0, 24.25):
             occ = mode_occupations(params(gamma=gamma), 2.7)

@@ -59,6 +59,9 @@ class TestExponentialRoute:
                              [-math.sin(th / 2), math.cos(th / 2)]])
         assert np.max(np.abs(D - expected)) < 1e-15
 
+    def test_pi_antidiagonal(self):
+        assert verify.d_pi_defect(3) < 1e-12
+
     def test_matches_expm_route(self):
         for S, th in ((1.5, 0.7), (4, 2.1)):
             F = build_generators(S).F
@@ -77,6 +80,9 @@ class TestExponentialRoute:
             db = wigner_d_exponential(S, b).entries
             dab = wigner_d_exponential(S, a + b).entries
             assert np.max(np.abs(da @ db - dab)) < 1e-10
+
+    def test_row_normalization(self):
+        assert verify.row_norm_defect(3, 1.3) < 1e-12
 
 
 class TestFactorialRoute:
