@@ -1,9 +1,9 @@
 """Electro-optic modulator models: finite-mode su(2) dynamics vs Bessel sidebands."""
 
-from .detection import FilterSpec, SpectralScan, filter_kernel, relative_count_rate, spectral_scan
+from .detection import FilterSpec, SpectralScan, spectral_scan
 from .dynamics import (
     ClosedFormAngles,
-    PropagatorMatrix,
+    asymptotic_compare,
     central_mode_probability,
     closed_form_angles,
     find_revival_peak,
@@ -12,7 +12,7 @@ from .dynamics import (
     propagator,
     revival_scan,
 )
-from .numkernel import EigenDecomposition, expm_skew_hermitian, hermitian_eigen
+from .numkernel import EigenDecomposition, hermitian_eigen
 from .su2 import (
     GeneratorSet,
     MixingAngle,
@@ -25,7 +25,6 @@ from .su2 import (
 )
 from .unrestricted import (
     ModulationIndex,
-    asymptotic_compare,
     bessel_j,
     bessel_j_sequence,
     classical_signal_check,

@@ -280,8 +280,10 @@ def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
     header = ["gamma"]
     columns = [grid]
     if cfg.model in ("restricted", "both"):
+        # Python floats: a numpy scalar would warn on overflow before the
+        # propagator's own guard rejects the coupling with a reason
         restricted = [central_mode_probability(cfg.params.with_gamma(g), dm)
-                      for g in grid]
+                      for g in grid.tolist()]
         header.append("p_restricted")
         columns.append(np.array(restricted))
     if cfg.model in ("unrestricted", "both"):

@@ -6,7 +6,9 @@ rate is the filter-weighted sum of the mode occupations,
 
     p_rel(omega_f) = sum_dm |R_{dm,0}|^2 K(omega_opt + Omega dm, omega_f),
 
-normalized so that the unmodulated carrier gives 1 at zero offset.
+normalized so that the unmodulated carrier gives 1 at zero offset.  The
+kernel depends only on the difference of its arguments, so the carrier
+omega_opt cancels and every sum here runs on offsets from the carrier.
 """
 
 import math
@@ -26,16 +28,13 @@ from .unrestricted import (
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Gaussian filter: value 1 at the center, 1/e at center +- half_width."""
+    """Gaussian filter: value 1 at its center, 1/e at center +- half_width."""
 
     half_width: float
-    center: float = 0.0
 
     def __post_init__(self):
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -52,26 +51,10 @@ class SpectralScan:
     params: ModulatorParams
 
 
-def filter_kernel(f: FilterSpec, omega) -> float:
-    """Gaussian transmission exp(-((omega - center)/half_width)^2)."""
-    z = (np.asarray(omega, dtype=float) - f.center) / f.half_width
-    out = np.exp(-z * z)
-    return float(out) if out.ndim == 0 else out
-
-
-def _kernel_sum(weights, mode_freqs, f: FilterSpec, centers):
-    """Filter-weighted sums for a vector of filter centers."""
-    z = (mode_freqs[None, :] - np.asarray(centers, dtype=float)[:, None]) / f.half_width
+def _kernel_sum(weights, mode_offsets_abs, f: FilterSpec, filter_offsets):
+    """Filter-weighted sums at each filter offset; all offsets carrier-relative."""
+    z = (mode_offsets_abs[None, :] - filter_offsets[:, None]) / f.half_width
     return np.exp(-z * z) @ weights
-
-
-def relative_count_rate(p: ModulatorParams, f: FilterSpec, omega_f_offset) -> float:
-    """p_rel at filter frequency omega_opt + omega_f_offset; in [0, 1]."""
-    weights = mode_occupations(p, 1.0)
-    mode_freqs = p.omega_opt + p.Omega * mode_offsets(p.S)
-    out = _kernel_sum(weights, mode_freqs, f,
-                      [p.omega_opt + float(omega_f_offset)])
-    return float(out[0])
 
 
 def spectral_scan(p: ModulatorParams, f: FilterSpec, grid) -> SpectralScan:
@@ -84,17 +67,15 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid) -> SpectralScan:
         raise ValueError("scan grid must be non-empty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("scan grid must be strictly increasing")
-    centers = p.omega_opt + grid
 
-    weights_r = mode_occupations(p, 1.0)
-    freqs_r = p.omega_opt + p.Omega * mode_offsets(p.S)
-    restricted = _kernel_sum(weights_r, freqs_r, f, centers)
+    restricted = _kernel_sum(mode_occupations(p, 1.0), p.Omega * mode_offsets(p.S),
+                             f, grid)
 
     mu = modulation_index(p.omega, p.gamma, p.T)
     cutoff = default_cutoff(mu.mu)
-    weights_u = unrestricted_occupations(mu, cutoff)
-    freqs_u = p.omega_opt + p.Omega * unrestricted_sideband_offsets(cutoff)
-    unrestricted_curve = _kernel_sum(weights_u, freqs_u, f, centers)
+    unrestricted_curve = _kernel_sum(
+        unrestricted_occupations(mu, cutoff),
+        p.Omega * unrestricted_sideband_offsets(cutoff), f, grid)
 
     return SpectralScan(frequencies=grid, restricted=restricted,
                         unrestricted=unrestricted_curve, params=p)

@@ -5,34 +5,20 @@ spectral sum
 
     R = d(2 beta) diag(exp(-i dk 2 Gamma T)) d(2 beta)^T,
 
-which equals exp(-i Q T) for the single-photon quasi-energy matrix Q.  The
-mode-dependent phase prefactor of the lab frame is kept separate from R:
-every counting observable uses |R|^2 only, and solely the mean-field
-envelope re-attaches it.
+which equals exp(-i Q T) for the single-photon quasi-energy matrix Q, up to
+the global phase exp(-i omega m_tilde T).  Every counting observable uses
+|R|^2 only; the lab-frame mode phases enter solely the mean-field envelope,
+which computes them where it needs them.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .su2 import ModulatorParams, mixing_angle, mode_offsets
+from .unrestricted import bessel_j_sequence, modulation_index
 from .wigner import wigner_d_exponential
-
-
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Unitary R(T) on mode amplitudes plus the detached lab-frame phases.
-
-    ``entries[i, j]`` is R_{dm_i, dp_j} with offsets ascending; multiplying
-    row i by ``mode_phases[i] = exp(-i((m_tilde+dm_i)*OmegaMW + omega*m_tilde)T)``
-    recovers the full Heisenberg amplitude map.
-    """
-
-    params: ModulatorParams
-    entries: np.ndarray
-    mode_phases: np.ndarray
 
 
 class ClosedFormAngles(NamedTuple):
@@ -49,16 +35,18 @@ def _central_index(p: ModulatorParams) -> int:
     return two_s // 2
 
 
-def propagator(p: ModulatorParams) -> PropagatorMatrix:
-    """R(T) by the spectral sum over quasi-energy eigenphases."""
+def propagator(p: ModulatorParams) -> np.ndarray:
+    """R(T) by the spectral sum over quasi-energy eigenphases.
+
+    ``R[i, j]`` is R_{dm_i, dp_j} with offsets ascending.
+    """
     ang = mixing_angle(p)
+    if not math.isfinite(2.0 * ang.Gamma * p.T * p.S):  # the largest eigenphase
+        raise ValueError(f"eigenphase 2*Gamma*T*S overflows: Gamma={ang.Gamma}, T={p.T}, "
+                         f"S={p.S}")
     D = wigner_d_exponential(p.S, ang.two_beta).entries
-    offs = mode_offsets(p.S)
-    eigenphases = np.exp(-2j * ang.Gamma * p.T * offs)
-    R = (D * eigenphases) @ D.T
-    lab = np.exp(-1j * ((p.m_tilde + offs) * p.OmegaMW
-                        + p.omega * p.m_tilde) * p.T)
-    return PropagatorMatrix(params=p, entries=R, mode_phases=lab)
+    eigenphases = np.exp(-2j * ang.Gamma * p.T * mode_offsets(p.S))
+    return (D * eigenphases) @ D.T
 
 
 def closed_form_angles(p: ModulatorParams) -> ClosedFormAngles:
@@ -80,22 +68,21 @@ def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     if not (n0 >= 0.0 and math.isfinite(n0)):
         raise ValueError(f"input photon number must be >= 0, got {n0}")
     center = _central_index(p)
-    col = propagator(p).entries[:, center]
+    col = propagator(p)[:, center]
     return n0 * np.abs(col) ** 2
 
 
 def mean_field_envelope(p: ModulatorParams) -> complex:
     """Normalized mean-field amplitude sum_dm exp(-i dm OmegaMW T) R_{dm,0}.
 
-    Includes the detached mode phases; the global carrier phase
-    exp(-i omega_opt T) is stripped.  For S -> infinity this approaches the
-    classical pure phase modulation exp(-i mu cos((OmegaMW - omega/2) T)).
+    The lab-frame mode phase is exp(-i((m_tilde + dm) OmegaMW + omega m_tilde) T);
+    its m_tilde part and the carrier phase exp(-i omega_opt T) cancel exactly.
+    For S -> infinity this approaches the classical pure phase modulation
+    exp(-i mu cos((OmegaMW - omega/2) T)).
     """
     center = _central_index(p)
-    prop = propagator(p)
-    global_phase = np.exp(1j * p.omega_opt * p.T)
-    return complex(global_phase * np.sum(prop.mode_phases
-                                         * prop.entries[:, center]))
+    phases = np.exp(-1j * (mode_offsets(p.S) * p.OmegaMW * p.T))
+    return complex(np.sum(phases * propagator(p)[:, center]))
 
 
 def central_mode_probability(p: ModulatorParams, dm=0) -> float:
@@ -104,8 +91,26 @@ def central_mode_probability(p: ModulatorParams, dm=0) -> float:
     dm = int(dm)
     if abs(dm) > p.S:
         raise ValueError(f"offset dm={dm} outside -S..S for S={p.S}")
-    R = propagator(p).entries
-    return float(np.abs(R[center + dm, center]) ** 2)
+    return float(np.abs(propagator(p)[center + dm, center]) ** 2)
+
+
+def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
+    """Restricted |R_{dm,0}| against the Bessel magnitude |J_dm(mu)|.
+
+    Valid in the regime |dm| << S with omega != 0; each requested offset
+    must satisfy |dm| <= S/10.  Returns rows (dm, restricted, bessel).
+    """
+    if p_large_S.omega == 0.0:
+        raise ValueError("the Bessel limit formula requires omega != 0")
+    dm_range = [int(d) for d in dm_range]
+    if any(abs(d) > p_large_S.S / 10.0 for d in dm_range):
+        raise ValueError(f"offsets {dm_range} exceed |dm| <= S/10 for S={p_large_S.S}")
+    center = _central_index(p_large_S)
+    R = propagator(p_large_S)
+    mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T).mu
+    seq = bessel_j_sequence(max(abs(d) for d in dm_range) if dm_range else 0, mu)
+    return [(d, float(np.abs(R[center + d, center])), float(abs(seq[abs(d)])))
+            for d in dm_range]
 
 
 def revival_scan(p_base: ModulatorParams, gamma_grid):

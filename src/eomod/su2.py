@@ -7,7 +7,7 @@ small dense linear algebra.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +44,8 @@ class ModulatorParams:
     gamma : effective mode-coupling strength (angular frequency)
     T : interaction time
     m_tilde : central mode index (display only; defaults to 0)
-    phi : microwave phase, fixed to 0 by the model
+
+    The microwave phase is fixed to 0 by the model.
     """
 
     S: float
@@ -53,7 +54,6 @@ class ModulatorParams:
     gamma: float
     T: float
     m_tilde: float = 0.0
-    phi: float = field(default=0.0)
 
     def __post_init__(self):
         _check_spin(self.S)
@@ -67,8 +67,9 @@ class ModulatorParams:
             raise ValueError(f"OmegaMW must be finite, got {self.OmegaMW}")
         if not (math.isfinite(self.m_tilde) and self.m_tilde >= 0.0):
             raise ValueError(f"m_tilde must be a non-negative index, got {self.m_tilde}")
-        if self.phi != 0.0:
-            raise ValueError("phi != 0 is not supported by this model")
+        if not math.isfinite(self.omega_opt):
+            raise ValueError(f"carrier m_tilde*Omega overflows: m_tilde={self.m_tilde}, "
+                             f"Omega={self.Omega}")
 
     @classmethod
     def from_detuning(cls, S, Omega, detune, gamma, T, m_tilde=0.0):

@@ -81,23 +81,8 @@ def bessel_j(n, x) -> float:
     relative accuracy is ~1e-14 throughout the tested range |x| <= 100.
     """
     n = int(n)
-    if abs(n) > MAX_ORDER:
-        raise ValueError(f"order |n| <= {MAX_ORDER} supported, got {n}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x < SERIES_X_MAX:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_miller(n, x)[n]
+    val = float(bessel_j_sequence(abs(n), x)[abs(n)])
+    return -val if n < 0 and n % 2 else val
 
 
 def bessel_j_sequence(nmax, x) -> np.ndarray:
@@ -106,14 +91,13 @@ def bessel_j_sequence(nmax, x) -> np.ndarray:
     if not 0 <= nmax <= MAX_ORDER:
         raise ValueError(f"nmax must be in [0, {MAX_ORDER}], got {nmax}")
     x = float(x)
-    sign = 1.0 if x >= 0.0 else -1.0
-    x = abs(x)
-    if x < SERIES_X_MAX:
-        vals = np.array([_bessel_series(n, x) for n in range(nmax + 1)])
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x}")
+    if abs(x) < SERIES_X_MAX:
+        vals = np.array([_bessel_series(n, abs(x)) for n in range(nmax + 1)])
     else:
-        vals = _bessel_miller(nmax, x)
-    if sign < 0.0:
-        vals = vals.copy()
+        vals = _bessel_miller(nmax, abs(x))
+    if x < 0.0:
         vals[1::2] *= -1.0
     return vals
 
@@ -130,6 +114,9 @@ def modulation_index(omega, gamma, T) -> ModulationIndex:
         mu = 2.0 * gamma * T
     else:
         mu = (4.0 * gamma / omega) * math.sin(0.5 * omega * T)
+    if not math.isfinite(mu):
+        raise ValueError(f"modulation index overflows: gamma={gamma}, omega={omega}, "
+                         f"T={T} give mu={mu}")
     return ModulationIndex(mu=mu, omega=omega, gamma=gamma, T=T)
 
 
@@ -179,30 +166,6 @@ def classical_signal_check(mu, samples) -> float:
     parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
     expected = (-1j) ** orders * parity * seq[np.abs(orders)]
     return float(np.max(np.abs(coeff - expected)))
-
-
-def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
-    """Restricted |R_{dm,0}| against the Bessel magnitude |J_dm(mu)|.
-
-    Valid in the regime |dm| << S with omega != 0; each requested offset
-    must satisfy |dm| <= S/10.  Returns rows (dm, restricted, bessel).
-    """
-    from .dynamics import propagator  # deferred: dynamics imports wigner
-
-    if p_large_S.omega == 0.0:
-        raise ValueError("the Bessel limit formula requires omega != 0")
-    dm_range = [int(d) for d in dm_range]
-    if any(abs(d) > p_large_S.S / 10.0 for d in dm_range):
-        raise ValueError(f"offsets {dm_range} exceed |dm| <= S/10 for S={p_large_S.S}")
-    two_s = round(2 * float(p_large_S.S))
-    if two_s % 2:
-        raise ValueError("central-mode comparison needs integer S")
-    center = two_s // 2
-    R = propagator(p_large_S).entries
-    mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T).mu
-    seq = bessel_j_sequence(max(abs(d) for d in dm_range) if dm_range else 0, mu)
-    return [(d, float(np.abs(R[center + d, center])), float(abs(seq[abs(d)])))
-            for d in dm_range]
 
 
 def unrestricted_sideband_offsets(M) -> np.ndarray:

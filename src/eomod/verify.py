@@ -90,7 +90,7 @@ def check_wigner_identities():
 
 def unitarity_defect(p):
     """Largest entry of R R^dagger - I for the propagator of ``p``."""
-    R = dynamics.propagator(p).entries
+    R = dynamics.propagator(p)
     return float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0]))))
 
 
@@ -116,7 +116,7 @@ def check_exact_revival():
 def closed_form_defect(p):
     """Largest | |R| - |d(2 beta~)| | entry, for ``p`` with sin_product in [0, 1]."""
     cf = dynamics.closed_form_angles(p)
-    R = dynamics.propagator(p).entries
+    R = dynamics.propagator(p)
     d = wigner.wigner_d_exponential(p.S, cf.two_beta_tilde).entries
     return float(np.max(np.abs(np.abs(R) - np.abs(d))))
 
@@ -247,7 +247,7 @@ def check_wigner_orthogonality_s200():
 
 def asymptotic_defect(gamma, S):
     """Largest | |R_{dm,0}| - |J_dm(mu)| | over dm = -5..5 at this coupling and spin."""
-    table = unrestricted.asymptotic_compare(_fig_params(gamma, S=S), range(-5, 6))
+    table = dynamics.asymptotic_compare(_fig_params(gamma, S=S), range(-5, 6))
     return max(abs(r - b) for _, r, b in table)
 
 

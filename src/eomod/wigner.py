@@ -92,8 +92,8 @@ def _realify(D, context):
 def wigner_d_exponential(S, theta) -> WignerMatrix:
     """d^S(theta) = exp(-i (theta/2) F) through the spectral calculus of F.
 
-    Equivalent to ``expm_skew_hermitian(-1j*(theta/2)*F)``; the eigensystem
-    of F is cached per spin so angle scans cost one decomposition total.
+    The eigensystem of F is cached per spin, so angle scans cost one
+    decomposition total.
     """
     two_s = _check_spin(S)
     w, V = _sy_eigensystem(two_s)

@@ -73,7 +73,7 @@ def test_a3_propagator_vs_integrator():
     worst_unitary = 0.0
     for S in (0.5, 1.0, 3.0, 5.0):
         p = fig_params(2.0, S=S)
-        R = propagator(p).entries
+        R = propagator(p)
         C = rk4_propagator(p)
         worst = max(worst, np.max(np.abs(np.abs(R) - np.abs(C))))
         worst_unitary = max(worst_unitary, np.max(np.abs(

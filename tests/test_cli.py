@@ -264,5 +264,15 @@ def _argvs(draw):
 @example(argv=["spectrum", "--omega", "0", "--scan=0:1:1"])
 @example(argv=["gamma-scan", "--omega", "-0", "--gamma-grid=0:1:1"])
 @example(argv=["spectrum", "--s", "1e6", "--scan=-1:1:1"])
+@example(argv=["spectrum", "--gamma", "1e308", "--scan=0:1:1"])
+@example(argv=["spectrum", "--model", "restricted", "--t", "1e308", "--scan=0:1:1"])
+@example(argv=["gamma-scan", "--model", "restricted", "--gamma-grid", "0:1e308:1e307"])
+@example(argv=["spectrum", "--m-tilde", "1e308", "--absolute", "--scan=0:1:1"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
-    assert run(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2)
+    out = tmp_path / "out.csv"
+    rc = run(argv + ["--out", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:  # every column finite, every probability within [0, 1]
+        _, rows = read_csv(out)
+        assert np.all(np.isfinite(rows))
+        assert np.all((rows[:, 1:] >= 0.0) & (rows[:, 1:] <= 1.0 + 1e-12))

@@ -3,31 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from eomod.detection import FilterSpec, filter_kernel, relative_count_rate, spectral_scan
+from eomod.detection import FilterSpec, spectral_scan
 from eomod.dynamics import mode_occupations
 from eomod.su2 import ModulatorParams
 
 TP = 2 * math.pi / 30
 
 
-def params(gamma=2.0, detune=0.1):
+def params(gamma=2.0, detune=0.1, m_tilde=0.0):
     return ModulatorParams.from_detuning(S=3, Omega=30.0, detune=detune,
-                                         gamma=gamma, T=TP)
+                                         gamma=gamma, T=TP, m_tilde=m_tilde)
+
+
+def bare_scan(offsets):
+    """Both curves of the unmodulated carrier, i.e. the filter kernel itself."""
+    return spectral_scan(params(gamma=0.0), FilterSpec(4.0), offsets)
 
 
 class TestFilterKernel:
+    # through the Bessel-sideband sum (J_0(0) = 1 carries all the weight)
     def test_peak(self):
-        f = FilterSpec(half_width=4.0, center=12.0)
-        assert filter_kernel(f, 12.0) == 1.0
+        curve = bare_scan(np.arange(-8.0, 8.001, 0.5)).unrestricted
+        assert np.argmax(curve) == 16
+        assert curve[16] == 1.0
 
     def test_half_width_at_inverse_e(self):
-        f = FilterSpec(half_width=4.0)
-        assert filter_kernel(f, 4.0) == pytest.approx(1.0 / math.e, abs=1e-16)
-        assert filter_kernel(f, -4.0) == pytest.approx(1.0 / math.e, abs=1e-16)
+        assert bare_scan([-4.0, 4.0]).unrestricted == pytest.approx([1.0 / math.e] * 2,
+                                                                    abs=1e-16)
 
     def test_adjacent_mode_suppression(self):
-        f = FilterSpec(half_width=4.0)
-        assert filter_kernel(f, 30.0) == pytest.approx(math.exp(-56.25), rel=1e-12)
+        assert bare_scan([30.0]).unrestricted[0] == pytest.approx(math.exp(-56.25),
+                                                                  rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -37,28 +43,28 @@ class TestFilterKernel:
 
 
 class TestRelativeCountRate:
+    # through the restricted mode sum
     def test_carrier_only_at_center(self):
-        assert relative_count_rate(params(gamma=0.0), FilterSpec(4.0), 0.0) == \
-            pytest.approx(1.0, abs=1e-14)
+        assert bare_scan([0.0]).restricted[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_carrier_only_at_one_mode_spacing(self):
-        val = relative_count_rate(params(gamma=0.0), FilterSpec(4.0), 30.0)
-        assert val == pytest.approx(math.exp(-(30.0 / 4.0) ** 2), rel=1e-10)
+        assert bare_scan([30.0]).restricted[0] == pytest.approx(
+            math.exp(-(30.0 / 4.0) ** 2), rel=1e-10)
 
     def test_fig1_center_equals_central_weight(self):
         p = params(gamma=2.0)
-        val = relative_count_rate(p, FilterSpec(4.0), 0.0)
-        central = mode_occupations(p, 1.0)[3]
-        assert abs(val - central) < 1e-10
+        val = spectral_scan(p, FilterSpec(4.0), [0.0]).restricted[0]
+        assert abs(val - mode_occupations(p, 1.0)[3]) < 1e-10
 
 
 class TestSpectralScan:
     def test_coupling_off_gives_bare_kernel(self):
         grid = np.arange(-20.0, 20.001, 0.5)
-        sc = spectral_scan(params(gamma=0.0), FilterSpec(4.0), grid)
         kernel = np.exp(-((grid / 4.0) ** 2))
-        assert np.max(np.abs(sc.restricted - kernel)) < 1e-12
-        assert np.max(np.abs(sc.unrestricted - kernel)) < 1e-12
+        for m_tilde in (0.0, 1e300):  # the carrier m_tilde*Omega cancels, however large
+            sc = spectral_scan(params(gamma=0.0, m_tilde=m_tilde), FilterSpec(4.0), grid)
+            assert np.max(np.abs(sc.restricted - kernel)) < 1e-12
+            assert np.max(np.abs(sc.unrestricted - kernel)) < 1e-12
 
     def test_grid_validation(self):
         f = FilterSpec(4.0)
@@ -95,9 +101,10 @@ class TestSpectralScan:
         # frozen fixtures: near the revival coupling the restricted curve
         # re-concentrates on the carrier while the Bessel weights spread out
         grid = np.arange(-60.0, 60.001, 0.5)
-        sc = spectral_scan(params(gamma=24.25), FilterSpec(4.0), grid)
-        i0 = int(np.argmin(np.abs(sc.frequencies)))
-        assert sc.restricted[i0] == pytest.approx(0.6963997508, abs=1e-9)
-        assert sc.unrestricted[i0] == pytest.approx(0.0623368791, abs=1e-9)
-        assert np.max(sc.unrestricted) < 0.1
-        assert np.argmax(sc.restricted) == i0
+        for m_tilde in (0.0, 1e300):
+            sc = spectral_scan(params(gamma=24.25, m_tilde=m_tilde), FilterSpec(4.0), grid)
+            i0 = int(np.argmin(np.abs(sc.frequencies)))
+            assert sc.restricted[i0] == pytest.approx(0.6963997508, abs=1e-9)
+            assert sc.unrestricted[i0] == pytest.approx(0.0623368791, abs=1e-9)
+            assert np.max(sc.unrestricted) < 0.1
+            assert np.argmax(sc.restricted) == i0

@@ -87,9 +87,9 @@ class TestParams:
             ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=-2.0, T=0.1)
         with pytest.raises(ValueError):
             ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=2.0, T=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # the carrier m_tilde*Omega overflows
             ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=2.0, T=0.1,
-                            phi=0.2)
+                            m_tilde=1e308)
 
     def test_detuning_roundtrip(self):
         p = params(detune=0.1)

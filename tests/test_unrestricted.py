@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from eomod import verify
+from eomod.dynamics import asymptotic_compare
 from eomod.su2 import ModulatorParams
 from eomod.unrestricted import (
-    asymptotic_compare,
     bessel_j,
     classical_signal_check,
     default_cutoff,
@@ -75,6 +75,11 @@ class TestModulationIndex:
 
     def test_no_coupling(self):
         assert modulation_index(0.1, 0.0, TP).mu == 0.0
+
+    def test_overflow_rejected(self):
+        for omega, T in ((0.1, TP), (0.0, 10.0)):  # both branches
+            with pytest.raises(ValueError):
+                modulation_index(omega, 1e308, T)
 
 
 class TestOccupations:
