@@ -26,6 +26,7 @@ from .su2 import (
 from .unrestricted import (
     ModulationIndex,
     bessel_j,
+    bessel_j_grid,
     bessel_j_sequence,
     classical_signal_check,
     default_cutoff,

@@ -26,6 +26,7 @@ sidecar echoing the effective merged configuration.  Exit codes: 0 ok,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,12 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, verify
-from .detection import FilterSpec, spectral_scan
+from .detection import MODELS, FilterSpec, spectral_scan
 from .dynamics import central_mode_probability
 from .su2 import ModulatorParams
-from .unrestricted import bessel_j, modulation_index
+from .unrestricted import bessel_j_grid, modulation_index
 
-MODELS = ("restricted", "unrestricted", "both")
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
 
@@ -223,21 +223,15 @@ def _manifest(cfg: RunConfig, command, extra=None) -> dict:
     return doc
 
 
-def _render_rows(header, columns):
-    rows = []
-    for i in range(len(columns[0])):
-        rows.append([FLOAT_FMT.format(float(col[i])) for col in columns])
-    return rows
-
-
 def _write_dataset(cfg_out, fmt, header, columns, manifest):
     """Write CSV/JSON plus the manifest sidecar; stdout when no path given."""
-    rows = _render_rows(header, columns)
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     if fmt == "csv":
-        text = ",".join(header) + "\n"
-        text += "".join(",".join(row) + "\n" for row in rows)
+        line = ",".join([FLOAT_FMT] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
     else:
-        data = [dict(zip(header, [float(v) for v in row])) for row in rows]
+        data = [{h: float(FLOAT_FMT.format(v)) for h, v in zip(header, row)}
+                for row in rows]
         text = json.dumps({"config": manifest, "data": data},
                           sort_keys=True, indent=2) + "\n"
     if cfg_out is None:
@@ -253,7 +247,7 @@ def _write_dataset(cfg_out, fmt, header, columns, manifest):
 def cmd_spectrum(cfg: RunConfig) -> int:
     offsets_display = cfg.scan.values()
     offsets_abs = offsets_display * cfg.display_unit
-    scan = spectral_scan(cfg.params, cfg.filter, offsets_abs)
+    scan = spectral_scan(cfg.params, cfg.filter, offsets_abs, cfg.model)
     axis_name = "omega_f_absolute" if cfg.absolute else "omega_f_display"
     axis = (cfg.params.omega_opt + offsets_abs) if cfg.absolute else offsets_display
     header = [axis_name]
@@ -276,23 +270,21 @@ def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
     dm = int(dm)
     if abs(dm) > cfg.params.S:
         raise ValueError(f"|dm|={abs(dm)} exceeds S={cfg.params.S}")
-    grid = _parse_grid(gamma_grid).values()
+    gg = _parse_grid(gamma_grid)
+    grid = gg.values()
     header = ["gamma"]
     columns = [grid]
     if cfg.model in ("restricted", "both"):
         # Python floats: a numpy scalar would warn on overflow before the
         # propagator's own guard rejects the coupling with a reason
-        restricted = [central_mode_probability(cfg.params.with_gamma(g), dm)
-                      for g in grid.tolist()]
         header.append("p_restricted")
-        columns.append(np.array(restricted))
+        columns.append([central_mode_probability(cfg.params.with_gamma(g), dm)
+                        for g in grid.tolist()])
     if cfg.model in ("unrestricted", "both"):
         p = cfg.params
-        unres = [bessel_j(dm, modulation_index(p.omega, g, p.T).mu) ** 2
-                 for g in grid]
+        mu = [modulation_index(p.omega, g, p.T).mu for g in grid.tolist()]
         header.append("p_unrestricted")
-        columns.append(np.array(unres))
-    gg = _parse_grid(gamma_grid)
+        columns.append(bessel_j_grid(dm, mu) ** 2)
     manifest = _manifest(cfg, "gamma-scan", {
         "dm": dm,
         "gamma_grid": {"start": gg.start, "stop": gg.stop, "step": gg.step},
@@ -379,6 +371,7 @@ def _add_common_flags(sub):
                      help="frequency per display unit (default Omega/30)")
 
 
+@functools.cache  # built on the first main() call and reused; parsing keeps no state
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="eomod",

@@ -25,6 +25,8 @@ from .unrestricted import (
     unrestricted_sideband_offsets,
 )
 
+MODELS = ("restricted", "unrestricted", "both")
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -42,12 +44,13 @@ class SpectralScan:
     """Restricted and unrestricted count-rate curves on a shared grid.
 
     ``frequencies`` are filter offsets relative to the carrier, in absolute
-    angular-frequency units (display scaling happens at the CLI layer).
+    angular-frequency units (display scaling happens at the CLI layer).  A
+    curve the scan was not asked for is None.
     """
 
     frequencies: np.ndarray
-    restricted: np.ndarray
-    unrestricted: np.ndarray
+    restricted: np.ndarray | None
+    unrestricted: np.ndarray | None
     params: ModulatorParams
 
 
@@ -57,25 +60,32 @@ def _kernel_sum(weights, mode_offsets_abs, f: FilterSpec, filter_offsets):
     return np.exp(-z * z) @ weights
 
 
-def spectral_scan(p: ModulatorParams, f: FilterSpec, grid) -> SpectralScan:
-    """Both model curves over a strictly increasing grid of filter offsets.
+def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
+                  model="both") -> SpectralScan:
+    """The ``model`` curve(s) over a strictly increasing grid of filter offsets.
 
+    ``model`` is one of MODELS.  Only the requested curves are computed, so
+    parameters that only one model rejects fail only that model's scan.
     Scan points are independent of each other; results follow grid order.
     """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("scan grid must be non-empty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise ValueError("scan grid must be strictly increasing")
 
-    restricted = _kernel_sum(mode_occupations(p, 1.0), p.Omega * mode_offsets(p.S),
-                             f, grid)
-
-    mu = modulation_index(p.omega, p.gamma, p.T)
-    cutoff = default_cutoff(mu.mu)
-    unrestricted_curve = _kernel_sum(
-        unrestricted_occupations(mu, cutoff),
-        p.Omega * unrestricted_sideband_offsets(cutoff), f, grid)
+    restricted = unrestricted_curve = None
+    if model != "unrestricted":
+        restricted = _kernel_sum(mode_occupations(p, 1.0),
+                                 p.Omega * mode_offsets(p.S), f, grid)
+    if model != "restricted":
+        mu = modulation_index(p.omega, p.gamma, p.T)
+        cutoff = default_cutoff(mu.mu)
+        unrestricted_curve = _kernel_sum(
+            unrestricted_occupations(mu, cutoff),
+            p.Omega * unrestricted_sideband_offsets(cutoff), f, grid)
 
     return SpectralScan(frequencies=grid, restricted=restricted,
                         unrestricted=unrestricted_curve, params=p)

@@ -50,15 +50,20 @@ def _bessel_series(n, x):
             return total
 
 
+def _miller_start(nmax, x):
+    """Index where the backward recurrence for J_0..J_nmax(x) starts (x >= 0,
+    a float or an array)."""
+    turn = np.maximum(nmax, np.ceil(x)).astype(np.int64)
+    return turn + 16 + np.ceil(np.sqrt(40.0 * np.maximum(turn, 1))).astype(np.int64)
+
+
 def _bessel_miller(nmax, x):
     """J_0..J_nmax for x >= SERIES_X_MAX via backward recurrence."""
-    turn = max(nmax, int(math.ceil(x)))
-    start = turn + 16 + int(math.ceil(math.sqrt(40.0 * max(turn, 1))))
     out = np.zeros(nmax + 1)
     jp1 = 0.0
     jk = 1e-30
     norm = 0.0
-    for k in range(start, 0, -1):
+    for k in range(int(_miller_start(nmax, x)), 0, -1):
         jm1 = (2.0 * k / x) * jk - jp1
         jp1 = jk
         jk = jm1
@@ -72,6 +77,58 @@ def _bessel_miller(nmax, x):
             norm /= _RESCALE_LIMIT
             out /= _RESCALE_LIMIT
     return out / norm
+
+
+def _bessel_miller_grid(n, x):
+    """J_n at every x >= SERIES_X_MAX of a 1-d array, in one recurrence.
+
+    Each element keeps the start index, normalisation and rescaling that
+    :func:`_bessel_miller` gives it alone, so the arithmetic is the same.
+    Elements are sorted by start index, so the started ones are a prefix
+    that grows as k falls from the largest start to 1.
+    """
+    starts = _miller_start(n, x)
+    order = np.argsort(-starts, kind="stable")
+    xs = x[order]
+    # live[k] = number of elements whose recurrence has started at index k
+    top = int(starts.max())
+    live = np.searchsorted(-starts[order], -np.arange(top + 1), side="right")
+    jk = np.empty(xs.size)
+    jp1 = np.empty(xs.size)
+    norm = np.zeros(xs.size)
+    val = np.zeros(xs.size)
+    started = 0
+    for k in range(top, 0, -1):
+        m = int(live[k])
+        if m > started:
+            jk[started:m] = 1e-30
+            jp1[started:m] = 0.0
+            started = m
+        # J_{k-1} overwrites J_{k+1} in place; the buffers then swap names
+        jm1 = jp1[:m]
+        jm1 *= -1.0
+        jm1 += (2.0 * k / xs[:m]) * jk[:m]
+        jk, jp1 = jp1, jk
+        if k - 1 == n:  # every start exceeds n + 1, so all elements are live
+            val[:] = jm1
+        if (k - 1) % 2 == 0:
+            norm[:m] += jm1 if k == 1 else 2.0 * jm1
+        if np.abs(jm1).max() > _RESCALE_LIMIT:
+            big = np.flatnonzero(np.abs(jm1) > _RESCALE_LIMIT)
+            jk[big] /= _RESCALE_LIMIT
+            jp1[big] /= _RESCALE_LIMIT
+            norm[big] /= _RESCALE_LIMIT
+            val[big] /= _RESCALE_LIMIT
+    out = np.empty(xs.size)
+    out[order] = val / norm
+    return out
+
+
+def _check_argument(x_abs):
+    """Refuse arguments whose sideband cut would exceed MAX_ORDER."""
+    if default_cutoff(x_abs) > MAX_ORDER:
+        raise ValueError(f"|x| = {float(x_abs)!r} needs a sideband cut above "
+                         f"MAX_ORDER = {MAX_ORDER}")
 
 
 def bessel_j(n, x) -> float:
@@ -93,6 +150,7 @@ def bessel_j_sequence(nmax, x) -> np.ndarray:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x}")
+    _check_argument(abs(x))
     if abs(x) < SERIES_X_MAX:
         vals = np.array([_bessel_series(n, abs(x)) for n in range(nmax + 1)])
     else:
@@ -100,6 +158,38 @@ def bessel_j_sequence(nmax, x) -> np.ndarray:
     if x < 0.0:
         vals[1::2] *= -1.0
     return vals
+
+
+def bessel_j_grid(n, x) -> np.ndarray:
+    """J_n(x) for one integer order over a 1-d array of arguments.
+
+    Equal to ``bessel_j(n, x_i)`` bit for bit at every element: |x| below
+    SERIES_X_MAX takes the same power series, the rest share one Miller
+    recurrence in which each element keeps its own start, norm and scale.
+    """
+    n = int(n)
+    order = abs(n)
+    if order > MAX_ORDER:
+        raise ValueError(f"order must be in [-{MAX_ORDER}, {MAX_ORDER}], got {n}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"arguments must be a 1-d array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("arguments must be finite")
+    ax = np.abs(x)
+    out = np.empty(x.size)
+    if x.size == 0:
+        return out
+    _check_argument(ax.max())
+    series = ax < SERIES_X_MAX
+    out[series] = [_bessel_series(order, v) for v in ax[series].tolist()]
+    if not series.all():
+        out[~series] = _bessel_miller_grid(order, ax[~series])
+    if order % 2:  # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n
+        out[x < 0.0] *= -1.0
+        if n < 0:
+            out = -out
+    return out
 
 
 def modulation_index(omega, gamma, T) -> ModulationIndex:
@@ -140,7 +230,7 @@ def unrestricted_occupations(mu: ModulationIndex, M) -> np.ndarray:
     total = weights.sum()
     if abs(total - 1.0) > 1e-12:
         raise ValueError(
-            f"normalization tail bound violated: sum of weights = {total!r}"
+            f"normalization tail bound violated: sum of weights = {float(total)!r}"
         )
     return weights
 

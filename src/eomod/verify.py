@@ -186,8 +186,8 @@ def check_bessel_recurrence():
 
 
 def bessel_normalization_defect(x):
-    """Distance of J_0(x)^2 + 2 sum_n J_n(x)^2, cut at ceil(x) + 30, from 1."""
-    seq = unrestricted.bessel_j_sequence(int(math.ceil(x)) + 30, x)
+    """Distance of J_0(x)^2 + 2 sum_n J_n(x)^2, cut at default_cutoff(x), from 1."""
+    seq = unrestricted.bessel_j_sequence(unrestricted.default_cutoff(x), x)
     return float(abs(seq[0] ** 2 + 2.0 * float(np.sum(seq[1:] ** 2)) - 1.0))
 
 

@@ -120,6 +120,32 @@ class TestSpectrum:
         assert run(["spectrum", "--t", "0.1", "--period-t"]) == 2
         assert run(["spectrum", "--detune", "0.1", "--omega-mw", "29"]) == 2
 
+    def test_single_model_skips_the_other(self):
+        # S = 2.5 has no central mode and gamma = 700 fails the Bessel tail
+        # bound; each stops only the model it concerns
+        for model, argv in (("unrestricted", ["--s", "2.5", "--scan=-1:1:1"]),
+                            ("restricted", ["--gamma", "700", "--scan=0:1:1"])):
+            assert run(["spectrum", "--model", model, *argv]) == 0
+            assert run(["spectrum", "--model", "both", *argv]) == 2
+
+    def test_both_columns_match_single_models(self, tmp_path):
+        args = ["spectrum", "--gamma", "24.25", "--detune", "-0.3",
+                "--scan=-30:30:0.5", "--out"]
+        lines = {}
+        for model in cli.MODELS:
+            out = tmp_path / f"{model}.csv"
+            assert run(args + [str(out), "--model", model]) == 0
+            lines[model] = [row.split(",") for row in out.read_text().splitlines()]
+        for both, res, unres in zip(lines["both"], lines["restricted"],
+                                    lines["unrestricted"]):
+            assert both == res + unres[1:]
+
+    def test_tail_bound_message_is_a_plain_float(self, capsys):
+        assert run(["spectrum", "--gamma", "700", "--scan=0:1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "sum of weights = 0.99999" in err
+        assert "np.float64" not in err
+
     def test_unwritable_out_exit3(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "s.csv"
         assert run(["spectrum", "--scan=0:1:1", "--out", str(target)]) == 3
@@ -143,6 +169,23 @@ class TestGammaScan:
         out = tmp_path / "g.csv"
         assert run(["gamma-scan", "--dm", "-2", "--gamma-grid", "0:1:1",
                     "--out", str(out)]) == 0
+
+
+class TestParserReuse:
+    def test_sequence_leaks_no_state(self, tmp_path, capsys):
+        # one process, one parser: an error, --version and another command
+        # between two identical spectra leave the second one unchanged
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        spectrum = ["spectrum", "--gamma", "10", "--scan=-5:5:0.5", "--out"]
+        assert run(spectrum + [str(first)]) == 0
+        assert run(["spectrum", "--no-such-flag"]) == 2
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == cli.__version__
+        assert run(["figures", "4", "--out-dir", str(tmp_path)]) == 0
+        assert run(spectrum + [str(last)]) == 0
+        assert last.read_bytes() == first.read_bytes()
+        assert (last.with_name("last.csv.manifest.json").read_bytes()
+                == first.with_name("first.csv.manifest.json").read_bytes())
 
 
 class TestFigures:
@@ -268,6 +311,7 @@ def _argvs(draw):
 @example(argv=["spectrum", "--model", "restricted", "--t", "1e308", "--scan=0:1:1"])
 @example(argv=["gamma-scan", "--model", "restricted", "--gamma-grid", "0:1e308:1e307"])
 @example(argv=["spectrum", "--m-tilde", "1e308", "--absolute", "--scan=0:1:1"])
+@example(argv=["gamma-scan", "--model", "unrestricted", "--gamma-grid", "1e8:2e8:1e8"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from eomod import verify
+from eomod import unrestricted, verify
 from eomod.dynamics import asymptotic_compare
 from eomod.su2 import ModulatorParams
 from eomod.unrestricted import (
+    MAX_ORDER,
     bessel_j,
+    bessel_j_grid,
+    bessel_j_sequence,
     classical_signal_check,
     default_cutoff,
     modulation_index,
@@ -54,6 +57,52 @@ class TestBessel:
             bessel_j(10 ** 6 + 1, 1.0)
         with pytest.raises(ValueError):
             bessel_j(0, math.inf)
+
+    def test_argument_bound(self):
+        # the largest |x| whose sideband cut default_cutoff(x) fits MAX_ORDER
+        edge = float(MAX_ORDER - default_cutoff(0.0))
+        for x in (np.nextafter(edge, math.inf), -2e8):
+            with pytest.raises(ValueError, match="MAX_ORDER"):
+                bessel_j_sequence(0, x)
+            with pytest.raises(ValueError, match="MAX_ORDER"):
+                bessel_j_grid(0, [1.0, x])
+        assert default_cutoff(edge) == MAX_ORDER
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBesselGrid:
+    """bessel_j_grid is the scalar bessel_j run on many arguments at once."""
+
+    # seeded: the Miller range both signs, the series range, the switch at
+    # |x| = 2, signed zeros, and x = 2.5 at order 120, where the unnormalised
+    # recurrence passes the 1e200 rescale limit
+    X = np.concatenate([
+        np.random.default_rng(20261018).uniform(-300.0, 300.0, 150),
+        np.random.default_rng(7).uniform(-2.5, 2.5, 60),
+        [0.0, -0.0, 1.999999, 2.0, 2.000001, -2.0, 2.5, -2.5],
+    ])
+
+    @pytest.mark.parametrize("n", [*range(0, 41), -1, -2, -7, -40, 120, -121])
+    def test_equals_scalar_bitwise(self, n):
+        expected = [bessel_j(n, x) for x in self.X.tolist()]
+        assert np.array_equal(_bits(bessel_j_grid(n, self.X)), _bits(expected))
+
+    def test_equals_scalar_when_every_step_rescales(self, monkeypatch):
+        monkeypatch.setattr(unrestricted, "_RESCALE_LIMIT", 1e10)
+        for n in (0, 3, -5, 40):
+            expected = [bessel_j(n, x) for x in self.X.tolist()]
+            assert np.array_equal(_bits(bessel_j_grid(n, self.X)), _bits(expected))
+
+    def test_input_guards(self):
+        assert bessel_j_grid(3, []).shape == (0,)
+        for bad in ([1.0, math.nan], [[1.0]]):
+            with pytest.raises(ValueError):
+                bessel_j_grid(0, bad)
+        with pytest.raises(ValueError):
+            bessel_j_grid(MAX_ORDER + 1, [1.0])
 
 
 class TestModulationIndex:
