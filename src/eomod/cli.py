@@ -44,6 +44,7 @@ from .unrestricted import bessel_j_grid, modulation_index
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
+MAX_GRID_POINTS = 100_000  # the reference grids have 241 points
 
 DEFAULTS = {
     "s": 3.0,
@@ -75,15 +76,25 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if not (self.step > 0.0 and self.start < self.stop):
+        if not (0.0 < self.step < math.inf and self.start < self.stop):
             raise ValueError(
-                f"grid needs start < stop and step > 0, got "
+                f"grid needs start < stop and a finite step > 0, got "
                 f"{self.start}:{self.stop}:{self.step}"
             )
+        count = self._count()
+        if count > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid {self.start}:{self.stop}:{self.step} has {count:.6g} "
+                f"points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
+
+    def _count(self) -> float:
+        """Number of grid points, inf when stop - start overflows."""
+        span = (self.stop - self.start) / self.step + 1e-9
+        return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
 
     def values(self) -> np.ndarray:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(n)
+        return self.start + self.step * np.arange(int(self._count()))
 
 
 @dataclass(frozen=True)

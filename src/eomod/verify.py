@@ -5,9 +5,9 @@ measure (``*_defect``) that the tests also call on their own samples.
 Each check is a zero-argument callable returning ``(tolerance, measured)``,
 the worst measure over the check's fixed sample; it passes when
 ``measured <= tolerance``.  The quick suite covers the algebra, rotation
-identities, unitarity, revivals and Bessel identities in a few seconds; the
-full suite adds the three-route Wigner agreement, the large-spin Bessel
-limit and a large random eigensolver round-trip.
+identities, unitarity, revivals and Bessel identities in a few
+milliseconds; the full suite adds the three-route Wigner agreement, the
+large-spin Bessel limit and a large random eigensolver round-trip.
 """
 
 import math

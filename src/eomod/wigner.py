@@ -9,7 +9,8 @@ three constructions cross-check each other:
   generator F = 2 S_y (the defining route; works for any S),
 * ``wigner_d_factorial`` -- the classical explicit factorial sum
   (log-gamma based, guarded to S <= 18),
-* ``wigner_d_jacobi`` -- entrywise Jacobi-polynomial formula.
+* ``wigner_d_jacobi`` -- Jacobi-polynomial formula, one recurrence over
+  all entries.
 
 Index convention everywhere: rows and columns ordered dm = -S..S ascending.
 In this convention d^{1/2}(theta) = [[cos(theta/2), sin(theta/2)],
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numkernel import hermitian_eigen
-from .su2 import _check_spin, build_generators, mode_offsets
+from .su2 import _check_spin, build_generators
 from .unrestricted import bessel_j
 
 IMAG_TOL = 1e-12
@@ -46,31 +47,46 @@ class WignerMatrix:
         return np.array(self.entries, dtype=dtype)
 
 
-def jacobi_poly(n, a, b, x) -> float:
+def jacobi_poly(n, a, b, x):
     """Jacobi polynomial P_n^{(a,b)}(x) by the ascending three-term recurrence.
 
     Exact at n = 0, 1; defined for all real x.  The recurrence degenerates
-    only at the corner a = b = -1 (for n >= 2), which is rejected.
+    only at the corner a = b = -1 (for n >= 2), which is rejected.  The
+    arguments broadcast: one recurrence runs over every element, each
+    stopping at its own degree, with the same arithmetic as a scalar call.
+    Scalar arguments give a float, array arguments an array.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p_cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        if c1 == 0.0:
-            raise ValueError(
-                f"three-term recurrence degenerates at n={k} for a={a}, b={b}"
-            )
-        c2 = (2.0 * k + a + b - 1.0) * (
-            (2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b
-        )
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p_prev, p_cur = p_cur, (c2 * p_cur - c3 * p_prev) / c1
-    return p_cur
+    n, a, b, x = np.broadcast_arrays(np.asarray(n).astype(np.int64),
+                                     *(np.asarray(v, dtype=float) for v in (a, b, x)))
+    shape = n.shape
+    if n.size and n.min() < 0:
+        raise ValueError(f"degree must be non-negative, got {int(n.min())}")
+    # sort by falling degree, so the elements still running are a prefix
+    order = np.argsort(-n.ravel(), kind="stable")
+    n, a, b, x = (v.ravel()[order] for v in (n, a, b, x))
+    top = int(n[0]) if n.size else 0
+    p_prev = np.ones(n.size)
+    p_cur = np.where(n == 0, 1.0, 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x)
+    # recurrence coefficients for degrees k = 2..top, one row per degree
+    k = np.arange(2, top + 1)[:, None]
+    t = 2.0 * k + a + b
+    c1 = 2.0 * k * (k + a + b) * (t - 2.0)
+    c2 = (t - 1.0) * (t * (t - 2.0) * x + a * a - b * b)
+    c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
+    stuck = (c1 == 0.0) & (k <= n)
+    if stuck.any():
+        row, col = np.argwhere(stuck)[0]
+        raise ValueError(f"three-term recurrence degenerates at n={row + 2} "
+                         f"for a={a[col]}, b={b[col]}")
+    # live[row] = number of elements whose degree reaches that row's k
+    live = np.searchsorted(-n, -k[:, 0], side="right")
+    for row, m in enumerate(live.tolist()):
+        p_next = (c2[row, :m] * p_cur[:m] - c3[row, :m] * p_prev[:m]) / c1[row, :m]
+        p_prev[:m] = p_cur[:m]
+        p_cur[:m] = p_next
+    out = np.empty(n.size)
+    out[order] = p_cur
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 @lru_cache(maxsize=64)
@@ -156,30 +172,20 @@ def _d_pi(two_s) -> np.ndarray:
 
 
 def _d_jacobi_principal(two_s, theta):
-    """Entrywise Jacobi-polynomial evaluation of d^S for theta in [0, pi]."""
-    dim = two_s + 1
-    lf = _log_factorials(2 * two_s + 1)
-    sb = math.sin(0.5 * theta)
-    cb = math.cos(0.5 * theta)
-    x = math.cos(theta)
-    offs = mode_offsets(two_s / 2.0)
-    D = np.empty((dim, dim))
-    for i in range(dim):
-        dm = offs[i]
-        for j in range(dim):
-            dk = offs[j]
-            mu = abs(round(dm - dk))
-            nu = abs(round(dm + dk))
-            s = (two_s - mu - nu) // 2
-            pref = math.exp(0.5 * (lf[s] + lf[s + mu + nu]
-                                   - lf[s + mu] - lf[s + nu]))
-            # sign sector: the magnitude formula needs (-1)^(dm-dk) above the
-            # anti-transpose split dm > dk, +1 otherwise (calibrated against
-            # the exponential route / d(pi) identity)
-            xi = -1.0 if (dm > dk and round(dm - dk) % 2) else 1.0
-            D[i, j] = (xi * pref * sb ** mu * cb ** nu
-                       * jacobi_poly(s, mu, nu, x))
-    return D
+    """Jacobi-polynomial evaluation of every entry of d^S for theta in [0, pi]."""
+    # row i holds dm = i - S and column j holds dk = j - S
+    i, j = np.indices((two_s + 1, two_s + 1))
+    mu = np.abs(i - j)
+    nu = np.abs(i + j - two_s)
+    s = (two_s - mu - nu) // 2
+    lf = np.array(_log_factorials(2 * two_s + 1))
+    pref = np.exp(0.5 * (lf[s] + lf[s + mu + nu] - lf[s + mu] - lf[s + nu]))
+    # sign sector: the magnitude formula needs (-1)^(dm-dk) above the
+    # anti-transpose split dm > dk, +1 otherwise (calibrated against
+    # the exponential route / d(pi) identity)
+    xi = np.where((i > j) & ((i - j) % 2 == 1), -1.0, 1.0)
+    return (xi * pref * math.sin(0.5 * theta) ** mu * math.cos(0.5 * theta) ** nu
+            * jacobi_poly(s, mu, nu, math.cos(theta)))
 
 
 def wigner_d_jacobi(S, theta) -> WignerMatrix:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the Sturm bisection
 never touches the LAPACK eigensolver, the RK4 integrator never touches the
-spectral sum, the Taylor exponential never diagonalizes anything, and the
-series oracles use exact integer factorials.
+spectral sum, the Taylor exponential never diagonalizes anything, the DFT
+never goes through an FFT, and the series oracles use exact integer
+factorials.
 """
 
 import math
@@ -91,6 +92,14 @@ def expm_taylor(A, terms=20):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def dft_direct(signal, orders):
+    """Fourier coefficients c_n = (1/N) sum_j f(t_j) e^{+i n t_j} of samples
+    at t_j = 2 pi j / N, by direct summation over the N samples."""
+    signal = np.asarray(signal, dtype=complex)
+    t = 2.0 * math.pi * np.arange(signal.size) / signal.size
+    return (np.exp(1j * np.outer(orders, t)) @ signal) / signal.size
 
 
 def bessel_series(n, x):

@@ -116,6 +116,16 @@ class TestSpectrum:
         assert run(["spectrum", "--scan=5:1:1"]) == 2
         assert run(["spectrum", "--scan=oops"]) == 2
 
+    def test_grid_point_cap(self, capsys):
+        cap = cli.MAX_GRID_POINTS
+        assert cli.GridSpec(0.0, cap - 1.0, 1.0).values().size == cap
+        with pytest.raises(ValueError, match=f"has {cap + 1} points"):
+            cli.GridSpec(0.0, float(cap), 1.0)
+        with pytest.raises(ValueError, match="has inf points"):
+            cli.GridSpec(-1e308, 1e308, 1.0)
+        assert run(["spectrum", "--scan", "0:1e15:1"]) == 2
+        assert "has 1e+15 points" in capsys.readouterr().err
+
     def test_flag_conflicts_exit2(self):
         assert run(["spectrum", "--t", "0.1", "--period-t"]) == 2
         assert run(["spectrum", "--detune", "0.1", "--omega-mw", "29"]) == 2
@@ -312,6 +322,10 @@ def _argvs(draw):
 @example(argv=["gamma-scan", "--model", "restricted", "--gamma-grid", "0:1e308:1e307"])
 @example(argv=["spectrum", "--m-tilde", "1e308", "--absolute", "--scan=0:1:1"])
 @example(argv=["gamma-scan", "--model", "unrestricted", "--gamma-grid", "1e8:2e8:1e8"])
+@example(argv=["spectrum", "--scan", "0:1e15:1"])
+@example(argv=["gamma-scan", "--gamma-grid", "0:1e15:1"])
+@example(argv=["spectrum", "--scan=-60:60:1e-300"])
+@example(argv=["spectrum", "--scan=0:1:inf"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

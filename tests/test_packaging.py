@@ -52,3 +52,15 @@ def test_import_loads_only_declared_dependencies():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert set(json.loads(out.stdout)) <= declared_dependencies() | {"eomod"}
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft lazily; only the classical Fourier check needs
+    # it, so a one-shot CLI process must not pay for it at import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = "import sys, eomod.cli; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

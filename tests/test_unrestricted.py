@@ -17,7 +17,7 @@ from eomod.unrestricted import (
     unrestricted_occupations,
 )
 
-from oracles import bessel_series
+from oracles import bessel_series, dft_direct
 
 TP = 2 * math.pi / 30
 
@@ -161,6 +161,18 @@ class TestClassicalSignal:
     @pytest.mark.parametrize("mu,samples", [(1.5, 1024), (5.0, 4096)])
     def test_modulated(self, mu, samples):
         assert classical_signal_check(mu, samples) < 1e-10
+
+    @pytest.mark.parametrize("mu,samples", [(0.0, 256), (1.5, 1024), (5.0, 4096)])
+    def test_fft_matches_direct_sum(self, mu, samples):
+        t = 2.0 * math.pi * np.arange(samples) / samples
+        n_max = math.floor(mu) + 10
+        orders = np.arange(-n_max, n_max + 1)
+        coeff = dft_direct(np.exp(-1j * mu * np.cos(t)), orders)
+        seq = bessel_j_sequence(n_max, mu)
+        parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
+        expected = (-1j) ** orders * parity * seq[np.abs(orders)]
+        direct = np.max(np.abs(coeff - expected))
+        assert abs(classical_signal_check(mu, samples) - direct) <= 1e-14
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):

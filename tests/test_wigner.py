@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -142,6 +143,63 @@ class TestJacobiRoute:
             de = wigner_d_exponential(S, theta).entries
             dj = wigner_d_jacobi(S, theta).entries
             assert np.max(np.abs(de - dj)) < 1e-10
+
+
+_scalar_jacobi = functools.cache(jacobi_poly)
+
+
+def _d_entry(two_s, i, j, theta):
+    """d^S_{dm,dk}(theta), dm = i - S, dk = j - S, from the Jacobi formula
+    with exact factorials and one scalar jacobi_poly call (cached: entries
+    with the same (s, mu, nu) share the polynomial)."""
+    mu = abs(i - j)
+    nu = abs(i + j - two_s)
+    s = (two_s - mu - nu) // 2
+    f = math.factorial
+    pref = math.sqrt(f(s) * f(s + mu + nu) / (f(s + mu) * f(s + nu)))
+    sign = -1.0 if i > j and (i - j) % 2 else 1.0
+    return (sign * pref * math.sin(theta / 2) ** mu * math.cos(theta / 2) ** nu
+            * _scalar_jacobi(s, mu, nu, math.cos(theta)))
+
+
+def test_jacobi_route_matches_entry_formula():
+    rng = np.random.default_rng(21)
+    thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, size=4)]
+    for two_s in range(1, 21):
+        for th in thetas:
+            D = wigner_d_jacobi(two_s / 2, th).entries
+            ref = np.array([[_d_entry(two_s, i, j, th) for j in range(two_s + 1)]
+                            for i in range(two_s + 1)])
+            assert np.max(np.abs(D - ref)) <= 1e-14
+
+
+def test_jacobi_poly_array_equals_scalar_calls():
+    rng = np.random.default_rng(5)
+    n = rng.integers(0, 13, size=40)
+    a = rng.uniform(-0.9, 4.0, size=40)
+    b = rng.uniform(-0.9, 4.0, size=40)
+    x = rng.uniform(-1.5, 1.5, size=40)
+    out = jacobi_poly(n, a, b, x)
+    assert out.shape == (40,)
+    assert out.tolist() == [jacobi_poly(*args) for args in zip(
+        n.tolist(), a.tolist(), b.tolist(), x.tolist())]
+    # broadcasting: one degree and order pair over a grid of x
+    grid = np.linspace(-1.0, 1.0, 7).reshape(7, 1)
+    out = jacobi_poly(6, 1.5, 0.5, grid)
+    assert out.shape == (7, 1)
+    assert out.ravel().tolist() == [jacobi_poly(6, 1.5, 0.5, v)
+                                    for v in grid.ravel().tolist()]
+    assert isinstance(jacobi_poly(3, 1.0, 2.0, 0.4), float)
+
+
+def test_jacobi_poly_degenerate_corner():
+    # a = b = -1 stalls the recurrence from degree 2 on, also inside an array
+    assert jacobi_poly(1, -1.0, -1.0, 0.3) == pytest.approx(0.0, abs=1e-16)
+    with pytest.raises(ValueError, match="degenerates at n=2"):
+        jacobi_poly(2, -1.0, -1.0, 0.3)
+    with pytest.raises(ValueError, match="degenerates"):
+        jacobi_poly([5, 3], [0.0, -1.0], [0.0, -1.0], 0.3)
+    assert jacobi_poly([5, 1], [0.0, -1.0], [0.0, -1.0], 0.3).shape == (2,)
 
 
 def test_three_route_agreement_sample():
