@@ -127,6 +127,12 @@ def _load_config_file() -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file must be a JSON object, got {type(doc).__name__}")
+    for key in ("params", "filter", "output", "scan", "gamma_grid"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"config file entry {key!r} must be an object, "
+                             f"got {type(doc[key]).__name__}")
     flat = {}
     params = doc.get("params", {})
     for key in ("s", "omega", "omega_mw", "detune", "gamma", "t",
@@ -338,14 +344,15 @@ def cmd_verify(level, checks=None, stream=None) -> int:
 
 
 def _normalize_argv(argv):
-    """Join values that start with '-' onto their flag so argparse accepts
-    e.g. ``--scan -60:60:0.5``."""
+    """Join values that start with '-' and a digit or '.' onto the long flag
+    before them, so argparse accepts e.g. ``--scan -60:60:0.5`` and
+    ``--omega-mw -1e1`` (it takes neither for a value on its own)."""
     joined = []
-    value_flags = {"--scan", "--gamma-grid", "--detune", "--dm", "--t"}
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in value_flags and i + 1 < len(argv)
+        if (tok.startswith("--") and len(tok) > 2 and "=" not in tok
+                and i + 1 < len(argv)
                 and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
                 and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")):
             joined.append(f"{tok}={argv[i + 1]}")

@@ -6,7 +6,9 @@ spectral sum
     R = d(2 beta) diag(exp(-i dk 2 Gamma T)) d(2 beta)^T,
 
 which equals exp(-i Q T) for the single-photon quasi-energy matrix Q, up to
-the global phase exp(-i omega m_tilde T).  Every counting observable uses
+the global phase exp(-i omega m_tilde T).  The d-matrix is real, so R is
+one real matrix product with the complex factor diag(...) d^T read as
+interleaved (re, im) float64 columns.  Every counting observable uses
 |R|^2 only; the lab-frame mode phases enter solely the mean-field envelope,
 which computes them where it needs them.
 """
@@ -46,7 +48,9 @@ def propagator(p: ModulatorParams) -> np.ndarray:
                          f"S={p.S}")
     D = wigner_d_exponential(p.S, ang.two_beta).entries
     eigenphases = np.exp(-2j * ang.Gamma * p.T * mode_offsets(p.S))
-    return (D * eigenphases) @ D.T
+    # R = D (e o D^T), one real product: e o D^T read as float64 (re, im) pairs
+    right = np.multiply(eigenphases[:, None], D.T, order="C")
+    return (D @ right.view(np.float64)).view(np.complex128)
 
 
 def closed_form_angles(p: ModulatorParams) -> ClosedFormAngles:

@@ -1,11 +1,12 @@
 """Minimal dense linear algebra for the (2S+1)-dimensional mode problems.
 
-Everything here works on plain complex ``numpy`` arrays (row-major, any
-dimension the mode models need, up to ~1000).  The one operation exposed is
-the Hermitian eigendecomposition, LAPACK's through ``numpy.linalg.eigh``.
-Callers only use it through spectral projectors (``V f(w) V†``, e.g. the
-d-matrix exp(-i theta S_y)), which do not depend on how eigenvectors of
-repeated eigenvalues are chosen or phased.
+Everything here works on plain ``numpy`` arrays, real or complex (row-major,
+any dimension the mode models need, up to 2001).  The one operation exposed
+is the Hermitian eigendecomposition, LAPACK's through ``numpy.linalg.eigh``;
+real symmetric input stays real, so its eigenvectors are float64.  Callers
+only use it through spectral projectors (``V f(w) V†``, e.g. the d-matrix
+exp(-i theta S_y)), which do not depend on how eigenvectors of repeated
+eigenvalues are chosen or phased.
 """
 
 from typing import NamedTuple
@@ -24,13 +25,14 @@ class EigenDecomposition(NamedTuple):
 
 
 def hermitian_eigen(A) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix.
+    """Diagonalize a Hermitian matrix (float64 vectors for real input).
 
     Raises ``ValueError`` if ``A`` is not square, has a non-finite entry, or
     deviates from Hermiticity by more than ``HERM_TOL`` relative to its
     largest entry.
     """
-    M = np.asarray(A, dtype=np.complex128)
+    M = np.asarray(A)
+    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"hermitian_eigen: expected a square matrix, got shape {M.shape}")
     scale = np.max(np.abs(M)) if M.size else 0.0

@@ -5,8 +5,10 @@ quasi-energy diagonalization and (at the composed angle) the propagator
 magnitudes, so getting it right matters more than getting it fast.  The
 three constructions cross-check each other:
 
-* ``wigner_d_exponential`` -- matrix exponential of the tridiagonal
-  generator F = 2 S_y (the defining route; works for any S),
+* ``wigner_d_exponential`` -- spectral calculus of the generator
+  F = 2 S_y, in real arithmetic through F = P (-2 S_x) P^dagger with
+  P = diag(i^k): one real eigensolve per spin, three half-size real
+  products per angle (the defining route; works for any S),
 * ``wigner_d_factorial`` -- the classical explicit factorial sum
   (log-gamma based, guarded to S <= 18),
 * ``wigner_d_jacobi`` -- Jacobi-polynomial formula, one recurrence over
@@ -25,10 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from .numkernel import hermitian_eigen
-from .su2 import _check_spin, build_generators
+from .su2 import _check_spin, coupling_weight, mode_offsets
 from .unrestricted import bessel_j
 
-IMAG_TOL = 1e-12
+PAIR_TOL = 1e-12  # |half norm - 1/sqrt(2)| of a +-lam eigenvector pair
 FACTORIAL_S_MAX = 18
 
 
@@ -91,31 +93,60 @@ def jacobi_poly(n, a, b, x):
 
 @lru_cache(maxsize=64)
 def _sy_eigensystem(two_s):
-    """Cached eigensystem of F = 2 S_y; shared by every angle at this spin."""
-    dec = hermitian_eigen(build_generators(two_s / 2.0).F)
-    dec.values.setflags(write=False)
-    dec.vectors.setflags(write=False)
-    return dec
+    """Cached real, chiral eigensystem of F = 2 S_y; shared by every angle.
 
-
-def _realify(D, context):
-    worst = np.max(np.abs(D.imag))
-    if worst > IMAG_TOL * max(1.0, np.max(np.abs(D.real))):
-        raise RuntimeError(f"{context}: residual imaginary part {worst:.3e}")
-    return np.ascontiguousarray(D.real)
+    F = P (-2 S_x) P^dagger with P = diag(i^k), k = 0..2S the row index.
+    -2 S_x is real symmetric and couples even rows only to odd rows, so its
+    eigenvalues pair as +-lam, with eigenvectors (x, +-y) that differ only
+    in the sign of the odd half.  Returns ``(lam, X, Y)``: the non-negative
+    eigenvalues, the even halves X and the odd halves Y of their
+    eigenvectors, each column scaled to unit norm and row k signed by
+    (-1)^ceil(k/2), which absorbs P.  For integer S the first column is the
+    even zero mode, with lam = 0 and a zero Y column.
+    """
+    n = two_s + 1
+    S = two_s / 2.0
+    f = np.array([coupling_weight(S, dm) for dm in mode_offsets(S)[:-1]])
+    w, U = hermitian_eigen(np.diag(-f, 1) + np.diag(-f, -1))  # -2 S_x = -(A+ + A-)
+    lam = w[n // 2:].copy()        # ascending: zero mode (odd n), then lam > 0
+    U = U[:, n // 2:] * (-1.0) ** ((np.arange(n)[:, None] + 1) // 2)
+    X, Y = U[0::2], U[1::2]
+    x_norm, y_norm = np.linalg.norm(X, axis=0), np.linalg.norm(Y, axis=0)
+    pair = n % 2                   # index of the first column with lam > 0
+    worst = float(np.max(np.abs(np.concatenate([x_norm[pair:], y_norm[pair:]])
+                                - math.sqrt(0.5))))
+    if worst > PAIR_TOL:
+        raise RuntimeError(f"eigenvectors of -2 S_x at S = {S} break the "
+                           f"+-lam pairing: a half norm is off 1/sqrt(2) by {worst:.3e}")
+    if pair:  # the zero mode's odd half is zero up to rounding; make it exact
+        lam[0], y_norm[0] = 0.0, np.inf
+    X, Y = X / x_norm, Y / y_norm
+    for a in (lam, X, Y):
+        a.setflags(write=False)
+    return lam, X, Y
 
 
 def wigner_d_exponential(S, theta) -> WignerMatrix:
-    """d^S(theta) = exp(-i (theta/2) F) through the spectral calculus of F.
+    """d^S(theta) = exp(-i (theta/2) F) through the real spectral calculus of F.
 
-    The eigensystem of F is cached per spin, so angle scans cost one
+    With c = cos(theta lam / 2) and s = sin(theta lam / 2) on the chiral
+    eigensystem of ``_sy_eigensystem``, the four parity blocks of d are
+    X c X^T (even rows and columns), Y c Y^T (odd, odd), X s Y^T (even,
+    odd) and its negative transpose (odd, even): three real half-size
+    products.  The eigensystem is cached per spin, so angle scans cost one
     decomposition total.
     """
     two_s = _check_spin(S)
-    w, V = _sy_eigensystem(two_s)
-    D = (V * np.exp(-0.5j * theta * w)) @ V.conj().T
-    return WignerMatrix(S=two_s / 2.0, theta=float(theta),
-                        entries=_realify(D, "wigner_d_exponential"),
+    lam, X, Y = _sy_eigensystem(two_s)
+    c = np.cos(0.5 * theta * lam)
+    s = np.sin(0.5 * theta * lam)
+    D = np.empty((two_s + 1, two_s + 1))
+    D[0::2, 0::2] = (X * c) @ X.T
+    D[1::2, 1::2] = (Y * c) @ Y.T
+    xsy = (X * s) @ Y.T
+    D[0::2, 1::2] = xsy
+    D[1::2, 0::2] = -xsy.T
+    return WignerMatrix(S=two_s / 2.0, theta=float(theta), entries=D,
                         method="exponential")
 
 

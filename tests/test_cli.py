@@ -62,6 +62,15 @@ class TestSpectrum:
         _, rows = read_csv(out)
         assert rows[0, 0] == -5.0
 
+    def test_exponent_form_negative_values(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["spectrum", "--omega-mw", "-1e1", "--scan=-2:2:1", "--out", str(a)]) == 0
+        assert run(["spectrum", "--omega-mw", "-10", "--scan=-2:2:1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        assert run(["spectrum", "--gamma", "-1e-3", "--scan=-2:2:1"]) == 2
+        assert "gamma must be non-negative" in capsys.readouterr().err
+
     def test_reference_invocation_line(self, tmp_path):
         # the documented full command line for the gamma=2 dataset
         out = tmp_path / "fig1.csv"
@@ -260,6 +269,16 @@ class TestConfigFile:
         manifest2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest2["params"]["t"] == pytest.approx(2 * math.pi / 30)
 
+    @pytest.mark.parametrize("doc", [[1, 2], {"params": [0.1]}, {"filter": 1.0},
+                                     {"output": "a.csv"}, {"scan": 5},
+                                     {"gamma_grid": None}])
+    def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.setenv("EOM_CONFIG", str(cfg))
+        assert run(["spectrum"]) == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
@@ -326,6 +345,8 @@ def _argvs(draw):
 @example(argv=["gamma-scan", "--gamma-grid", "0:1e15:1"])
 @example(argv=["spectrum", "--scan=-60:60:1e-300"])
 @example(argv=["spectrum", "--scan=0:1:inf"])
+@example(argv=["spectrum", "--omega-mw", "-1e1", "--scan=-2:2:1"])
+@example(argv=["spectrum", "--gamma", "-1e-3", "--scan=-2:2:1"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eomod import verify
 from eomod.dynamics import (
@@ -180,3 +182,19 @@ class TestRevivalScan:
         g, v = find_revival_peak(list(zip(xs, ys)))
         assert g == pytest.approx(0.13, abs=1e-12)
         assert v == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(two_s=st.integers(1, 80), Omega=st.floats(0.5, 100.0),
+       detune=st.floats(-50.0, 50.0), gamma=st.floats(0.0, 500.0),
+       T=st.floats(0.0, 10.0), m_tilde=st.floats(0.0, 1e3))
+def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_tilde):
+    # the verify measures at their verify tolerances, away from its fixed samples
+    assume(detune != 0.0 or gamma != 0.0)  # mixing angle undefined otherwise
+    p = ModulatorParams.from_detuning(S=two_s / 2, Omega=Omega, detune=detune,
+                                      gamma=gamma, T=T, m_tilde=m_tilde)
+    assert verify.unitarity_defect(p) <= 1e-12
+    if two_s % 2 == 0:
+        assert verify.photon_defect(p) <= 1e-12
+    if 0.0 <= closed_form_angles(p).sin_product <= 1.0:
+        assert verify.closed_form_defect(p) <= 1e-9

@@ -107,18 +107,23 @@ def test_repeated_eigenvalues_identity_plus_rank_one():
 @seed(2718)
 @settings(max_examples=60, deadline=None, database=None)
 @given(n=st.integers(1, 64), matrix_seed=st.integers(0, 2**32 - 1),
-       degenerate=st.booleans())
-def test_eigen_contract_property(n, matrix_seed, degenerate):
+       degenerate=st.booleans(), real=st.booleans())
+def test_eigen_contract_property(n, matrix_seed, degenerate, real):
     rng = np.random.default_rng(matrix_seed)
     if degenerate:
-        # few distinct integer eigenvalues in a random unitary basis
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
-                            + 1j * rng.standard_normal((n, n)))
+        # few distinct integer eigenvalues in a random orthogonal/unitary basis
+        M = rng.standard_normal((n, n))
+        Q, _ = np.linalg.qr(M if real else M + 1j * rng.standard_normal((n, n)))
         A = (Q * rng.integers(-3, 4, n)) @ Q.conj().T
         A = (A + A.conj().T) / 2.0
+    elif real:
+        A = rng.standard_normal((n, n))
+        A = (A + A.T) / 2.0
     else:
         A = random_hermitian(n, rng)
-    assert_eigen_contract(A, hermitian_eigen(A))
+    dec = hermitian_eigen(A)
+    assert_eigen_contract(A, dec)
+    assert dec.vectors.dtype == (np.float64 if real else np.complex128)
 
 
 @pytest.mark.parametrize("n", [3, 8, 15])

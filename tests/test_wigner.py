@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from eomod import verify
+from eomod import verify, wigner
+from eomod.numkernel import EigenDecomposition
 from eomod.su2 import build_generators
 from eomod.wigner import (
     FACTORIAL_S_MAX,
@@ -83,6 +84,26 @@ class TestExponentialRoute:
 
     def test_row_normalization(self):
         assert verify.row_norm_defect(3, 1.3) < 1e-12
+
+    @pytest.mark.parametrize("S", [3, 3.5])  # with and without the zero mode
+    def test_real_entries(self, S):
+        assert wigner_d_exponential(S, 0.77).entries.dtype == np.float64
+
+    def test_broken_pairing_raises(self, monkeypatch):
+        def rotated_pair(A):
+            # mix the +-lam eigenvectors of the top pair by 45 degrees
+            w, V = np.linalg.eigh(A)
+            lo, hi = V[:, 0].copy(), V[:, -1].copy()
+            V[:, 0], V[:, -1] = (lo + hi) / math.sqrt(2), (hi - lo) / math.sqrt(2)
+            return EigenDecomposition(values=w, vectors=V)
+
+        monkeypatch.setattr(wigner, "hermitian_eigen", rotated_pair)
+        wigner._sy_eigensystem.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="pairing"):
+                wigner_d_exponential(3, 0.5)
+        finally:
+            wigner._sy_eigensystem.cache_clear()
 
 
 class TestFactorialRoute:
