@@ -14,11 +14,9 @@ from .dynamics import (
 )
 from .numkernel import EigenDecomposition, hermitian_eigen
 from .su2 import (
-    GeneratorSet,
     MixingAngle,
     ModulatorParams,
-    build_generators,
-    coupling_weight,
+    ladder_weights,
     mixing_angle,
     mode_offsets,
     quasi_energy_matrix,

@@ -141,6 +141,8 @@ def _load_config_file() -> dict:
             flat[key] = params[key]
     if "detune" in params and "omega_mw" in params:
         raise ValueError("config file sets both detune and omega_mw")
+    if "t" in params and params.get("period_t"):
+        raise ValueError("config file sets both t and period_t")
     if "half_width" in doc.get("filter", {}):
         flat["filter_hw"] = doc["filter"]["half_width"]
     if "scan" in doc:
@@ -343,18 +345,29 @@ def cmd_verify(level, checks=None, stream=None) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _numeric_like(value):
+    """A '-'-leading value that argparse would take for a flag but is meant
+    as a number: '-' then a digit or '.', or a value whose first ':' field
+    parses as a float ('-inf', '-nan', '-1e1', '-.5', '-60:60:0.5')."""
+    try:
+        float(value.split(":")[0])
+    except ValueError:
+        return value[1:2].isdigit() or value[1:2] == "."
+    return True
+
+
 def _normalize_argv(argv):
-    """Join values that start with '-' and a digit or '.' onto the long flag
-    before them, so argparse accepts e.g. ``--scan -60:60:0.5`` and
-    ``--omega-mw -1e1`` (it takes neither for a value on its own)."""
+    """Join a numeric-looking value that starts with '-' onto the long flag
+    before it, so argparse accepts e.g. ``--scan -60:60:0.5``,
+    ``--omega-mw -1e1`` and ``--detune -inf`` (it takes none of them for a
+    value on its own)."""
     joined = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (tok.startswith("--") and len(tok) > 2 and "=" not in tok
-                and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
-                and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")):
+                and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and _numeric_like(argv[i + 1])):
             joined.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

@@ -18,12 +18,7 @@ import numpy as np
 
 from .dynamics import mode_occupations
 from .su2 import ModulatorParams, mode_offsets
-from .unrestricted import (
-    default_cutoff,
-    modulation_index,
-    unrestricted_occupations,
-    unrestricted_sideband_offsets,
-)
+from .unrestricted import modulation_index, unrestricted_occupations
 
 MODELS = ("restricted", "unrestricted", "both")
 
@@ -81,11 +76,10 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
         restricted = _kernel_sum(mode_occupations(p, 1.0),
                                  p.Omega * mode_offsets(p.S), f, grid)
     if model != "restricted":
-        mu = modulation_index(p.omega, p.gamma, p.T)
-        cutoff = default_cutoff(mu.mu)
-        unrestricted_curve = _kernel_sum(
-            unrestricted_occupations(mu, cutoff),
-            p.Omega * unrestricted_sideband_offsets(cutoff), f, grid)
+        weights = unrestricted_occupations(modulation_index(p.omega, p.gamma, p.T))
+        cut = weights.size // 2
+        unrestricted_curve = _kernel_sum(weights, p.Omega * np.arange(-cut, cut + 1),
+                                         f, grid)
 
     return SpectralScan(frequencies=grid, restricted=restricted,
                         unrestricted=unrestricted_curve, params=p)

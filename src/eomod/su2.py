@@ -1,9 +1,10 @@
-"""Finite-mode modulator model: parameters, su(2) generators, mixing angle.
+"""Finite-mode modulator model: parameters, spin-S ladder, mixing angle.
 
 The restricted model couples 2S+1 optical modes labelled by the offset
 ``dm = -S..S`` from the carrier.  In the single-photon sector the ladder
-operators become the defining spin-S matrices, so everything downstream is
-small dense linear algebra.
+operators become the defining spin-S matrices, tridiagonal with the rung
+weights of ``ladder_weights``, so everything downstream is small dense
+real linear algebra.
 """
 
 import math
@@ -95,50 +96,20 @@ class ModulatorParams:
         return replace(self, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """su(2) generator matrices in the single-photon (spin-S) basis."""
-
-    S: float
-    A0: np.ndarray
-    Aplus: np.ndarray
-    Aminus: np.ndarray
-    F: np.ndarray
-
-
 class MixingAngle(NamedTuple):
     Gamma: float
     two_beta: float
     g_eff: float
 
 
-def coupling_weight(S, dm) -> float:
-    """Mode-coupling weight f(dm) = sqrt((S+1+dm)(S-dm)) on the ladder.
+def ladder_weights(S) -> np.ndarray:
+    """Rung weights f(dm) = sqrt((S+1+dm)(S-dm)) for dm = -S..S-1 (ascending).
 
-    Defined for dm = -S, -S+1, ..., S-1 (the rung below the top).
+    A+ carries f(dm) from mode dm up to dm+1 and A- = (A+)^T carries it
+    back, which makes A0 = diag(dm), A+ and A- su(2) generators.
     """
-    _check_spin(S)
-    step = float(dm) + float(S)
-    if abs(step - round(step)) > 1e-9 or not (-1e-9 <= step <= 2 * float(S) - 1 + 1e-9):
-        raise ValueError(f"dm={dm} outside the ladder -S..S-1 for S={S}")
-    return math.sqrt((float(S) + 1.0 + float(dm)) * (float(S) - float(dm)))
-
-
-def build_generators(S) -> GeneratorSet:
-    """Construct A0, A+, A- and F = 2 S_y for spin S.
-
-    Basis ordering is dm = -S..S ascending.  A+ carries f(dm) one step up
-    the ladder (subdiagonal), A- = (A+)†, and F is the tridiagonal
-    imaginary-Hermitian matrix i(A- - A+).
-    """
-    two_s = _check_spin(S)
-    offs = mode_offsets(S)
-    f_vals = np.array([coupling_weight(S, dm) for dm in offs[:-1]])
-    a0 = np.diag(offs).astype(np.complex128)
-    aplus = np.diag(f_vals, -1).astype(np.complex128)
-    aminus = aplus.conj().T.copy()
-    f_mat = 1j * (aminus - aplus)
-    return GeneratorSet(S=two_s / 2.0, A0=a0, Aplus=aplus, Aminus=aminus, F=f_mat)
+    dm = mode_offsets(S)[:-1]
+    return np.sqrt((float(S) + 1.0 + dm) * (float(S) - dm))
 
 
 def mixing_angle(p: ModulatorParams) -> MixingAngle:
@@ -161,12 +132,10 @@ def mixing_angle(p: ModulatorParams) -> MixingAngle:
 def quasi_energy_matrix(p: ModulatorParams) -> np.ndarray:
     """Single-photon quasi-energy matrix omega*(m_tilde + A0) + g_eff*(A+ + A-).
 
-    Real symmetric; its spectrum is the equidistant ladder
-    omega*m_tilde + 2*Gamma*k, k = -S..S.
+    Real symmetric tridiagonal (float64); its spectrum is the equidistant
+    ladder omega*m_tilde + 2*Gamma*k, k = -S..S.
     """
-    gen = build_generators(p.S)
+    f = ladder_weights(p.S)
     g_eff = 2.0 * p.gamma / p.n_modes
-    dim = p.n_modes
-    return (p.omega * p.m_tilde * np.eye(dim, dtype=np.complex128)
-            + p.omega * gen.A0
-            + g_eff * (gen.Aplus + gen.Aminus))
+    return (np.diag(p.omega * p.m_tilde + p.omega * mode_offsets(p.S))
+            + g_eff * (np.diag(f, 1) + np.diag(f, -1)))

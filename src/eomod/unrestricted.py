@@ -215,16 +215,13 @@ def default_cutoff(mu) -> int:
     return int(math.ceil(abs(float(mu)))) + CUTOFF_PAD
 
 
-def unrestricted_occupations(mu: ModulationIndex, M) -> np.ndarray:
+def unrestricted_occupations(mu: ModulationIndex) -> np.ndarray:
     """Sideband weights J_n(mu)^2 for n = -M..M (ascending).
 
-    Requires M >= ceil(|mu|) + 20 and checks the normalization identity
-    sum J_n^2 = 1 at runtime as the truncation-tail bound.
+    The cut is M = default_cutoff(mu.mu); the normalization identity
+    sum J_n^2 = 1 is checked at runtime as the truncation-tail bound.
     """
-    M = int(M)
-    m_min = int(math.ceil(abs(mu.mu))) + 20
-    if M < m_min:
-        raise ValueError(f"cutoff M={M} too small for mu={mu.mu:.6g}; need >= {m_min}")
+    M = default_cutoff(mu.mu)
     seq = bessel_j_sequence(M, mu.mu)
     weights = np.concatenate([(seq[1:] ** 2)[::-1], seq[:1] ** 2, seq[1:] ** 2])
     total = weights.sum()
@@ -258,9 +255,3 @@ def classical_signal_check(mu, samples) -> float:
     parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
     expected = (-1j) ** orders * parity * seq[np.abs(orders)]
     return float(np.max(np.abs(coeff - expected)))
-
-
-def unrestricted_sideband_offsets(M) -> np.ndarray:
-    """Offsets -M..M matching :func:`unrestricted_occupations` ordering."""
-    M = int(M)
-    return np.arange(-M, M + 1)

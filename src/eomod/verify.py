@@ -39,17 +39,20 @@ def _fig_params(gamma, S=3, detune=0.1):
 
 
 def su2_algebra_defect(S):
-    """Largest su(2) commutator, Casimir or F = i(A- - A+) residual at spin S."""
-    g = su2.build_generators(S)
-    eye = np.eye(g.A0.shape[0])
+    """Largest su(2) commutator or Casimir residual at spin S.
+
+    A0 = diag(dm), A+ carries the ladder weights one step up (subdiagonal)
+    and A- = (A+)^T.
+    """
+    a0 = np.diag(su2.mode_offsets(S))
+    ap = np.diag(su2.ladder_weights(S), -1)
+    am = ap.T
     return float(max(
-        np.max(np.abs(g.A0 @ g.Aplus - g.Aplus @ g.A0 - g.Aplus)),
-        np.max(np.abs(g.A0 @ g.Aminus - g.Aminus @ g.A0 + g.Aminus)),
-        np.max(np.abs(g.Aplus @ g.Aminus - g.Aminus @ g.Aplus - 2.0 * g.A0)),
-        np.max(np.abs(g.A0 @ g.A0
-                      + 0.5 * (g.Aplus @ g.Aminus + g.Aminus @ g.Aplus)
-                      - S * (S + 1.0) * eye)),
-        np.max(np.abs(g.F - 1j * (g.Aminus - g.Aplus))),
+        np.max(np.abs(a0 @ ap - ap @ a0 - ap)),
+        np.max(np.abs(a0 @ am - am @ a0 + am)),
+        np.max(np.abs(ap @ am - am @ ap - 2.0 * a0)),
+        np.max(np.abs(a0 @ a0 + 0.5 * (ap @ am + am @ ap)
+                      - S * (S + 1.0) * np.eye(a0.shape[0]))),
     ))
 
 
@@ -212,10 +215,9 @@ def check_classical_fourier():
                       unrestricted.classical_signal_check(5.0, 4096))
 
 
-def scan_bounds_defect(gamma):
-    """How far either model's p_rel leaves [0, 1] on the reference filter grid."""
-    grid = np.arange(-60.0, 60.001, 0.5)
-    sc = spectral_scan(_fig_params(gamma), FilterSpec(half_width=4.0), grid)
+def scan_bounds_defect(p, half_width, grid):
+    """How far either model's p_rel leaves [0, 1] over a grid of filter offsets."""
+    sc = spectral_scan(p, FilterSpec(half_width=half_width), grid)
     worst = 0.0
     for curve in (sc.restricted, sc.unrestricted):
         worst = max(worst, float(np.max(curve - 1.0)), float(np.max(-curve)))
@@ -223,7 +225,9 @@ def scan_bounds_defect(gamma):
 
 
 def check_scan_bounds():
-    return 0.0, max(scan_bounds_defect(gamma) for gamma in (2.0, 24.25))
+    grid = np.arange(-60.0, 60.001, 0.5)
+    return 0.0, max(scan_bounds_defect(_fig_params(gamma), 4.0, grid)
+                    for gamma in (2.0, 24.25))
 
 
 def three_route_defect(S, theta):

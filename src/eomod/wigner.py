@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numkernel import hermitian_eigen
-from .su2 import _check_spin, coupling_weight, mode_offsets
+from .su2 import _check_spin, ladder_weights
 from .unrestricted import bessel_j
 
 PAIR_TOL = 1e-12  # |half norm - 1/sqrt(2)| of a +-lam eigenvector pair
@@ -106,7 +106,7 @@ def _sy_eigensystem(two_s):
     """
     n = two_s + 1
     S = two_s / 2.0
-    f = np.array([coupling_weight(S, dm) for dm in mode_offsets(S)[:-1]])
+    f = ladder_weights(S)
     w, U = hermitian_eigen(np.diag(-f, 1) + np.diag(-f, -1))  # -2 S_x = -(A+ + A-)
     lam = w[n // 2:].copy()        # ascending: zero mode (odd n), then lam > 0
     U = U[:, n // 2:] * (-1.0) ** ((np.arange(n)[:, None] + 1) // 2)

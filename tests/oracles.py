@@ -4,14 +4,34 @@ These deliberately avoid the code paths they check: the Sturm bisection
 never touches the LAPACK eigensolver, the RK4 integrator never touches the
 spectral sum, the Taylor exponential never diagonalizes anything, the DFT
 never goes through an FFT, and the series oracles use exact integer
-factorials.
+factorials.  Nothing here imports eomod: the spin matrices come from the
+textbook ladder S_+ |m> = sqrt(S(S+1) - m(m+1)) |m+1>, not from eomod's
+``ladder_weights``.
 """
 
 import math
 
 import numpy as np
 
-from eomod.su2 import mixing_angle, quasi_energy_matrix
+
+def _spin_raising(S):
+    """S_+ in the basis m = -S..S ascending (subdiagonal, textbook weights)."""
+    m = -S + np.arange(int(round(2 * S)))
+    return np.diag(np.sqrt(S * (S + 1.0) - m * (m + 1.0)), -1)
+
+
+def spin_y2(S):
+    """F = 2 S_y = i (S_- - S_+) in the basis m = -S..S ascending."""
+    splus = _spin_raising(S)
+    return 1j * (splus.T - splus)
+
+
+def quasi_energy(p):
+    """Q = omega (m_tilde + S_z) + g_eff (S_+ + S_-), g_eff = 2 gamma / (2S+1)."""
+    splus = _spin_raising(p.S)
+    m = -p.S + np.arange(splus.shape[0])
+    g_eff = 2.0 * p.gamma / splus.shape[0]
+    return np.diag(p.omega * (p.m_tilde + m)) + g_eff * (splus + splus.T)
 
 
 def sturm_count(diag, off, x):
@@ -56,8 +76,8 @@ def tridiag_eigenvalues_sturm(diag, off, tol=1e-13):
 
 def rk4_propagator(p):
     """Direct integration of i dC/dt = Q C over [0, T] with C(0) = I."""
-    Q = quasi_energy_matrix(p)
-    rabi = mixing_angle(p).Gamma
+    Q = quasi_energy(p)
+    rabi = math.hypot(0.5 * p.omega, 2.0 * p.gamma / Q.shape[0])
     steps = max(64, int(math.ceil(rabi * p.T / 1e-3)))
     dt = p.T / steps
     C = np.eye(Q.shape[0], dtype=complex)

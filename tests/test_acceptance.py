@@ -140,7 +140,7 @@ def test_a9_figure_reproduction(tmp_path):
     occ = mode_occupations(p1, 1.0)
     mu1 = modulation_index(p1.omega, p1.gamma, p1.T)
     cut = default_cutoff(mu1.mu)
-    w_u = unrestricted_occupations(mu1, cut)
+    w_u = unrestricted_occupations(mu1)
     fig1_rel = max(abs(occ[3 + dm] - w_u[cut + dm]) / w_u[cut + dm]
                    for dm in (-1, 0, 1))
 
@@ -152,7 +152,7 @@ def test_a9_figure_reproduction(tmp_path):
         occ2[abs(mode_offsets(3)) <= 3].sum())
     mu2 = modulation_index(p2.omega, p2.gamma, p2.T)
     cut2 = default_cutoff(mu2.mu)
-    w2 = unrestricted_occupations(mu2, cut2)
+    w2 = unrestricted_occupations(mu2)
     unrestricted_outside = float(w2.sum() - w2[cut2 - 3:cut2 + 4].sum())
 
     # Fig 3/4: near-revival of the restricted curve, decayed Bessel weight

@@ -71,6 +71,16 @@ class TestSpectrum:
         assert run(["spectrum", "--gamma", "-1e-3", "--scan=-2:2:1"]) == 2
         assert "gamma must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--omega-mw", "-inf"), ("--detune", "-nan"),
+                                            ("--gamma", "-.5"), ("--scan", "-inf:1:1")])
+    def test_space_and_equals_forms_agree(self, capsys, flag, value):
+        base = ["spectrum", "--scan=0:1:1"]
+        rc_space = run(base + [flag, value])
+        err_space = capsys.readouterr().err
+        assert (rc_space, err_space) == (run(base + [f"{flag}={value}"]),
+                                         capsys.readouterr().err)
+        assert rc_space == 2 and "invalid parameters" in err_space
+
     def test_reference_invocation_line(self, tmp_path):
         # the documented full command line for the gamma=2 dataset
         out = tmp_path / "fig1.csv"
@@ -269,6 +279,13 @@ class TestConfigFile:
         manifest2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert manifest2["params"]["t"] == pytest.approx(2 * math.pi / 30)
 
+    def test_file_t_with_period_t_exit2(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"t": 1.0, "period_t": True}}))
+        monkeypatch.setenv("EOM_CONFIG", str(cfg))
+        assert run(["spectrum", "--scan=0:1:1"]) == 2
+        assert "both t and period_t" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [[1, 2], {"params": [0.1]}, {"filter": 1.0},
                                      {"output": "a.csv"}, {"scan": 5},
                                      {"gamma_grid": None}])
@@ -347,6 +364,7 @@ def _argvs(draw):
 @example(argv=["spectrum", "--scan=0:1:inf"])
 @example(argv=["spectrum", "--omega-mw", "-1e1", "--scan=-2:2:1"])
 @example(argv=["spectrum", "--gamma", "-1e-3", "--scan=-2:2:1"])
+@example(argv=["spectrum", "--omega-mw", "-inf", "--scan=0:1:1"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

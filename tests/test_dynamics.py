@@ -187,14 +187,27 @@ class TestRevivalScan:
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(two_s=st.integers(1, 80), Omega=st.floats(0.5, 100.0),
        detune=st.floats(-50.0, 50.0), gamma=st.floats(0.0, 500.0),
-       T=st.floats(0.0, 10.0), m_tilde=st.floats(0.0, 1e3))
-def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_tilde):
+       T=st.floats(0.0, 10.0), m_tilde=st.floats(0.0, 1e3),
+       half_width=st.floats(0.01, 100.0))
+def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_tilde,
+                                           half_width):
     # the verify measures at their verify tolerances, away from its fixed samples
-    assume(detune != 0.0 or gamma != 0.0)  # mixing angle undefined otherwise
     p = ModulatorParams.from_detuning(S=two_s / 2, Omega=Omega, detune=detune,
                                       gamma=gamma, T=T, m_tilde=m_tilde)
+    # mixing angle undefined otherwise; a subnormal detune rounds to omega = 0
+    assume(p.omega != 0.0 or gamma != 0.0)
+    mu = modulation_index(p.omega, p.gamma, p.T).mu
+    # beyond |mu| = 200 the sideband cut is too small (ROADMAP item 1)
+    bessel_ok = abs(mu) <= 200.0
     assert verify.unitarity_defect(p) <= 1e-12
     if two_s % 2 == 0:
         assert verify.photon_defect(p) <= 1e-12
+        if bessel_ok:  # both curves, over every mode and two spacings beyond
+            grid = Omega * np.linspace(-two_s / 2 - 2, two_s / 2 + 2, 61)
+            assert verify.scan_bounds_defect(p, half_width, grid) <= 1e-12
     if 0.0 <= closed_form_angles(p).sin_product <= 1.0:
         assert verify.closed_form_defect(p) <= 1e-9
+    if bessel_ok:
+        assert verify.bessel_normalization_defect(mu) <= 1e-12
+        for n in (1, 2, math.floor(abs(mu)) + 1):
+            assert verify.bessel_parity_defect(n, mu) == 0.0

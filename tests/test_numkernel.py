@@ -6,10 +6,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from eomod.numkernel import HERM_TOL, RECON_TOL, hermitian_eigen
-from eomod.su2 import build_generators
 from eomod.wigner import _d_pi
 
-from oracles import expm_taylor, tridiag_eigenvalues_sturm
+from oracles import expm_taylor, spin_y2, tridiag_eigenvalues_sturm
 
 
 def random_hermitian(n, rng):
@@ -30,7 +29,7 @@ def test_pauli_x():
 
 def test_spin_matrix_eigenvalues_s3():
     # 2 S_y for S=3 has the ladder spectrum 2k, k=-3..3
-    F = build_generators(3).F
+    F = spin_y2(3)
     dec = hermitian_eigen(F)
     assert np.allclose(dec.values, np.arange(-6, 7, 2), atol=1e-12)
 
@@ -38,7 +37,7 @@ def test_spin_matrix_eigenvalues_s3():
 def test_spin_matrix_vs_charpoly_oracle():
     from oracles import charpoly_eigenvalues
 
-    F = build_generators(3).F
+    F = spin_y2(3)
     dec = hermitian_eigen(F)
     assert np.max(np.abs(dec.values - charpoly_eigenvalues(F))) < 1e-8
 
@@ -86,7 +85,7 @@ def assert_eigen_contract(A, dec):
 
 def test_repeated_eigenvalues_direct_sum():
     # F ⊕ F: every ladder eigenvalue of 2 S_y (S = 3) appears twice
-    F = build_generators(3).F
+    F = spin_y2(3)
     A = np.block([[F, np.zeros_like(F)], [np.zeros_like(F), F]])
     dec = hermitian_eigen(A)
     assert_eigen_contract(A, dec)
@@ -153,7 +152,7 @@ def test_expm_real_rotation():
 
 def test_expm_matches_d_pi_pattern():
     # exp(-i (pi/2) 2S_y) at S=3 is the anti-diagonal +-1 rotation by pi
-    F = build_generators(3).F
+    F = spin_y2(3)
     out = expm_taylor(-1j * (np.pi / 2.0) * F)
     assert np.max(np.abs(out - _d_pi(6))) < 1e-12
 

@@ -1,4 +1,5 @@
-"""Declared dependencies match what the package imports."""
+"""Declared dependencies match what the package imports; the test oracles
+import nothing from the package they check."""
 
 import ast
 import json
@@ -64,3 +65,16 @@ def test_cli_import_leaves_numpy_fft_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_oracles_import_nothing_from_eomod():
+    # an oracle built on eomod's own code would check that code against itself
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        assert not any(m.split(".")[0] == "eomod" for m in modules), ast.unparse(node)

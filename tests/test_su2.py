@@ -8,12 +8,13 @@ from eomod.numkernel import hermitian_eigen
 from eomod.su2 import (
     S_MAX,
     ModulatorParams,
-    build_generators,
-    coupling_weight,
+    ladder_weights,
     mixing_angle,
     mode_offsets,
     quasi_energy_matrix,
 )
+
+from oracles import quasi_energy, spin_y2
 
 TP = 2 * math.pi / 30
 
@@ -25,58 +26,47 @@ def params(S=3, detune=0.1, gamma=2.0, T=TP, m_tilde=0.0):
 
 class TestCouplingWeight:
     def test_top_rung(self):
-        assert coupling_weight(3, 2) == pytest.approx(math.sqrt(6), abs=1e-15)
+        assert ladder_weights(3)[-1] == pytest.approx(math.sqrt(6), abs=1e-15)
 
     def test_middle(self):
-        assert coupling_weight(3, 0) == pytest.approx(math.sqrt(12), abs=1e-15)
+        assert ladder_weights(3)[3] == pytest.approx(math.sqrt(12), abs=1e-15)
 
     def test_bottom_boundary(self):
         for S in (0.5, 1, 2.5, 7):
-            assert coupling_weight(S, -S) == pytest.approx(math.sqrt(2 * S), abs=1e-15)
-        assert coupling_weight(0.5, -0.5) == pytest.approx(1.0, abs=0)
+            assert ladder_weights(S)[0] == pytest.approx(math.sqrt(2 * S), abs=1e-15)
+        assert ladder_weights(0.5).tolist() == [1.0]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            coupling_weight(3, 3)
-        with pytest.raises(ValueError):
-            coupling_weight(3, -4)
-        with pytest.raises(ValueError):
-            coupling_weight(3, 0.5)
+        # one rung per dm = -S..S-1, none above the top mode
+        for S in (0.5, 3, 7.5):
+            assert ladder_weights(S).shape == (round(2 * S),)
 
 
 class TestGenerators:
     def test_spin_half_matrices(self):
-        g = build_generators(0.5)
-        assert np.array_equal(g.A0, np.diag([-0.5, 0.5]))
-        assert np.allclose(g.Aplus, [[0, 0], [1, 0]], atol=0)
-        assert np.allclose(g.Aminus, g.Aplus.conj().T, atol=0)
+        assert np.array_equal(np.diag(mode_offsets(0.5)), np.diag([-0.5, 0.5]))
+        assert np.array_equal(np.diag(ladder_weights(0.5), -1), [[0, 0], [1, 0]])
 
     @pytest.mark.parametrize("S", [0.5, 1, 1.5, 2, 3, 5, 6])
     def test_commutators_and_casimir(self, S):
         assert verify.su2_algebra_defect(S) < 1e-12
 
     def test_f_matrix_structure(self):
-        g = build_generators(2)
-        assert np.max(np.abs(g.F - g.F.conj().T)) == 0.0
-        offs = mode_offsets(2)
-        for i, dm in enumerate(offs):
-            for j, dk in enumerate(offs):
-                expected = 0.0
-                if dm == dk - 1:
-                    expected = 1j * coupling_weight(2, dk - 1)
-                elif dm == dk + 1:
-                    expected = -1j * coupling_weight(2, dk)
-                assert g.F[i, j] == pytest.approx(expected, abs=1e-15)
+        # the textbook F = 2 S_y is i(A- - A+) on these rung weights; both
+        # forms of the weight are exact in binary at these spins
+        for S in (0.5, 2, 7.5, 40):
+            aplus = np.diag(ladder_weights(S), -1)
+            assert np.array_equal(spin_y2(S), 1j * (aplus.T - aplus))
 
     def test_invalid_spin(self):
         with pytest.raises(ValueError):
-            build_generators(0.3)
+            ladder_weights(0.3)
         with pytest.raises(ValueError):
-            build_generators(0)
+            ladder_weights(0)
         assert len(mode_offsets(S_MAX)) == 2 * S_MAX + 1
         for S in (S_MAX + 0.5, 1e6):
             with pytest.raises(ValueError):
-                build_generators(S)
+                ladder_weights(S)
 
 
 class TestParams:
@@ -135,6 +125,7 @@ class TestQuasiEnergy:
         p = params(gamma=0.0, m_tilde=2.0)
         Q = quasi_energy_matrix(p)
         expected = np.diag(p.omega * (2.0 + mode_offsets(3)))
+        assert Q.dtype == np.float64
         assert np.max(np.abs(Q - expected)) < 1e-15
 
     def test_spin_half_resonant(self):
@@ -161,3 +152,5 @@ class TestQuasiEnergy:
                        gamma=rng.uniform(0.05, 20),
                        m_tilde=float(rng.integers(0, 4)))
             assert verify.ladder_defect(p) < 1e-10
+            Q = quasi_energy_matrix(p)
+            assert np.max(np.abs(Q - quasi_energy(p))) <= 1e-13 * np.max(np.abs(Q))

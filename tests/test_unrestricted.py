@@ -45,6 +45,11 @@ class TestBessel:
         for x in (0.5, 2.7, 10.0, 41.9, 100.0):
             assert verify.bessel_normalization_defect(x) < 1e-12
 
+    @pytest.mark.xfail(strict=True, reason="default_cutoff(mu) = ceil|mu| + 30 "
+                       "is too small for |mu| >= 220 (ROADMAP item 1)")
+    def test_normalization_identity_large_mu(self):
+        assert verify.bessel_normalization_defect(700.0) <= 1e-12
+
     def test_series_miller_crossover_consistent(self):
         # both evaluation paths agree around the |x| = 2 switch
         for n in range(0, 9):
@@ -133,25 +138,20 @@ class TestModulationIndex:
 
 class TestOccupations:
     def test_zero_index(self):
-        w = unrestricted_occupations(modulation_index(0.1, 0.0, TP), 25)
-        assert w[25] == 1.0
+        w = unrestricted_occupations(modulation_index(0.1, 0.0, TP))
+        assert w.size == 2 * default_cutoff(0.0) + 1
+        assert w[default_cutoff(0.0)] == 1.0
         assert np.sum(np.abs(w)) == 1.0
 
     def test_fig1_central_weight(self):
         mu = modulation_index(0.1, 2.0, TP)
-        w = unrestricted_occupations(mu, default_cutoff(mu.mu))
+        w = unrestricted_occupations(mu)
         assert w[default_cutoff(mu.mu)] == pytest.approx(0.6923809915, abs=1e-9)
 
     def test_normalized(self):
         for gamma in (2.0, 10.0, 24.25, 60.0):
-            mu = modulation_index(0.1, gamma, TP)
-            w = unrestricted_occupations(mu, default_cutoff(mu.mu))
+            w = unrestricted_occupations(modulation_index(0.1, gamma, TP))
             assert abs(w.sum() - 1.0) < 1e-12
-
-    def test_cutoff_too_small(self):
-        mu = modulation_index(0.1, 10.0, TP)
-        with pytest.raises(ValueError):
-            unrestricted_occupations(mu, 10)
 
 
 class TestClassicalSignal:

@@ -6,7 +6,6 @@ import pytest
 
 from eomod import verify, wigner
 from eomod.numkernel import EigenDecomposition
-from eomod.su2 import build_generators
 from eomod.wigner import (
     FACTORIAL_S_MAX,
     CapabilityError,
@@ -17,7 +16,7 @@ from eomod.wigner import (
     wigner_d_jacobi,
 )
 
-from oracles import bessel_series, expm_taylor, jacobi_series
+from oracles import bessel_series, expm_taylor, jacobi_series, spin_y2
 
 
 class TestJacobiPoly:
@@ -65,7 +64,7 @@ class TestExponentialRoute:
 
     def test_matches_expm_route(self):
         for S, th in ((1.5, 0.7), (4, 2.1)):
-            F = build_generators(S).F
+            F = spin_y2(S)
             direct = expm_taylor(-0.5j * th * F)
             cached = wigner_d_exponential(S, th).entries
             assert np.max(np.abs(direct - cached)) < 1e-13
