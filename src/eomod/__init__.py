@@ -4,6 +4,7 @@ from .detection import FilterSpec, SpectralScan, spectral_scan
 from .dynamics import (
     ClosedFormAngles,
     asymptotic_compare,
+    central_column_sq,
     central_mode_probability,
     closed_form_angles,
     find_revival_peak,
@@ -29,6 +30,7 @@ from .unrestricted import (
     classical_signal_check,
     default_cutoff,
     modulation_index,
+    modulation_index_grid,
     unrestricted_occupations,
 )
 from .wigner import (

@@ -38,9 +38,9 @@ import numpy as np
 
 from . import __version__, verify
 from .detection import MODELS, FilterSpec, spectral_scan
-from .dynamics import central_mode_probability
+from .dynamics import central_column_sq
 from .su2 import ModulatorParams
-from .unrestricted import bessel_j_grid, modulation_index
+from .unrestricted import bessel_j_grid, modulation_index_grid
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
@@ -186,16 +186,12 @@ def _build_config(merged) -> RunConfig:
     else:
         raise ValueError("either t or period_t must be set")
     if merged.get("omega_mw") is not None:
-        params = ModulatorParams(S=float(merged["s"]), Omega=omega,
-                                 OmegaMW=float(merged["omega_mw"]),
-                                 gamma=float(merged["gamma"]), T=t_val,
-                                 m_tilde=float(merged["m_tilde"]))
+        detune = omega - float(merged["omega_mw"])
     else:
         detune = float(merged["detune"]) if merged.get("detune") is not None else 0.0
-        params = ModulatorParams.from_detuning(
-            S=float(merged["s"]), Omega=omega, detune=detune,
-            gamma=float(merged["gamma"]), T=t_val,
-            m_tilde=float(merged["m_tilde"]))
+    params = ModulatorParams.from_detuning(
+        S=float(merged["s"]), Omega=omega, detune=detune,
+        gamma=float(merged["gamma"]), T=t_val, m_tilde=float(merged["m_tilde"]))
     model = str(merged["model"])
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -294,16 +290,13 @@ def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
     header = ["gamma"]
     columns = [grid]
     if cfg.model in ("restricted", "both"):
-        # Python floats: a numpy scalar would warn on overflow before the
-        # propagator's own guard rejects the coupling with a reason
+        occ = central_column_sq(cfg.params, grid)
         header.append("p_restricted")
-        columns.append([central_mode_probability(cfg.params.with_gamma(g), dm)
-                        for g in grid.tolist()])
+        columns.append(occ[:, occ.shape[1] // 2 + dm])
     if cfg.model in ("unrestricted", "both"):
         p = cfg.params
-        mu = [modulation_index(p.omega, g, p.T).mu for g in grid.tolist()]
         header.append("p_unrestricted")
-        columns.append(bessel_j_grid(dm, mu) ** 2)
+        columns.append(bessel_j_grid(dm, modulation_index_grid(p.omega, grid, p.T)) ** 2)
     manifest = _manifest(cfg, "gamma-scan", {
         "dm": dm,
         "gamma_grid": {"start": gg.start, "stop": gg.stop, "step": gg.step},

@@ -8,9 +8,11 @@ spectral sum
 which equals exp(-i Q T) for the single-photon quasi-energy matrix Q, up to
 the global phase exp(-i omega m_tilde T).  The d-matrix is real, so R is
 one real matrix product with the complex factor diag(...) d^T read as
-interleaved (re, im) float64 columns.  Every counting observable uses
-|R|^2 only; the lab-frame mode phases enter solely the mean-field envelope,
-which computes them where it needs them.
+interleaved (re, im) float64 columns.  Every counting observable reads
+only |R_{dm,0}|^2, one column, since the photon enters the central mode:
+``central_column_sq`` computes it over a whole coupling grid without
+forming R.  The lab-frame mode phases enter solely the mean-field
+envelope, which computes them where it needs them.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 
 from .su2 import ModulatorParams, mixing_angle, mode_offsets
 from .unrestricted import bessel_j_sequence, modulation_index
-from .wigner import wigner_d_exponential
+from .wigner import _d_exponential, wigner_d_exponential
 
 
 class ClosedFormAngles(NamedTuple):
@@ -37,28 +39,73 @@ def _central_index(p: ModulatorParams) -> int:
     return two_s // 2
 
 
+def _phase_rate(p: ModulatorParams, gamma_rabi) -> complex:
+    """-2i Gamma T: the eigenphase factor of offset k is exp(k * rate).
+
+    Refuses a coupling whose largest eigenphase 2*Gamma*T*S overflows.
+    """
+    if not math.isfinite(2.0 * gamma_rabi * p.T * p.S):
+        raise ValueError(f"eigenphase 2*Gamma*T*S overflows: Gamma={gamma_rabi}, "
+                         f"T={p.T}, S={p.S}")
+    return -2j * gamma_rabi * p.T
+
+
 def propagator(p: ModulatorParams) -> np.ndarray:
     """R(T) by the spectral sum over quasi-energy eigenphases.
 
     ``R[i, j]`` is R_{dm_i, dp_j} with offsets ascending.
     """
     ang = mixing_angle(p)
-    if not math.isfinite(2.0 * ang.Gamma * p.T * p.S):  # the largest eigenphase
-        raise ValueError(f"eigenphase 2*Gamma*T*S overflows: Gamma={ang.Gamma}, T={p.T}, "
-                         f"S={p.S}")
+    eigenphases = np.exp(_phase_rate(p, ang.Gamma) * mode_offsets(p.S))
     D = wigner_d_exponential(p.S, ang.two_beta).entries
-    eigenphases = np.exp(-2j * ang.Gamma * p.T * mode_offsets(p.S))
     # R = D (e o D^T), one real product: e o D^T read as float64 (re, im) pairs
     right = np.multiply(eigenphases[:, None], D.T, order="C")
     return (D @ right.view(np.float64)).view(np.complex128)
+
+
+def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
+    """|R_{dm,0}|^2 over a grid of couplings, a (G, 2S+1) array.
+
+    Row g holds the occupations at coupling ``gammas[g]``, the other
+    parameters taken from ``p``, offsets ascending; a row does not depend
+    on the rest of the grid.  The grid is checked before any matrix is
+    built.  Per coupling, d(2 beta) is built from the cached eigensystem
+    and the central column R[:, c] = d (e o d[c, :]) is one real (n x 2)
+    product on the interleaved complex vector, so R is never formed.
+    """
+    center = _central_index(p)
+    grid = np.asarray(gammas, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"gamma grid must be a non-empty 1-d sequence, got shape "
+                         f"{grid.shape}")
+    angles, rates = [], []
+    for gamma in grid.tolist():  # Python floats: an overflow raises below, never warns
+        if not gamma >= 0.0:  # an infinite gamma overflows the eigenphase
+            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        ang = mixing_angle(p, gamma)
+        angles.append(ang.two_beta)
+        rates.append(_phase_rate(p, ang.Gamma))
+    n = 2 * center + 1
+    offsets = np.arange(-center, center + 1.0)  # mode_offsets(p.S)
+    right = np.empty(n, dtype=complex)  # e o d[c, :]
+    pairs = right.view(np.float64).reshape(n, 2)  # ... as interleaved (re, im)
+    col = np.empty((n, 2))
+    out = np.empty((grid.size, n))
+    for g, (angle, rate) in enumerate(zip(angles, rates)):
+        D = _d_exponential(n - 1, angle)
+        np.multiply(np.exp(rate * offsets), D[center], out=right)
+        np.matmul(D, pairs, out=col)  # R[:, c] as (re, im) pairs
+        np.square(col, out=col)
+        np.add(col[:, 0], col[:, 1], out=out[g])
+    return out
 
 
 def closed_form_angles(p: ModulatorParams) -> ClosedFormAngles:
     """The composed rotation angle 2*beta_tilde controlling |R|.
 
     sin(2 beta_tilde) = 2 u sqrt(1 - u^2) with u = sin(2 beta) sin(Gamma T),
-    i.e. 2 beta_tilde = 2 arcsin(u); for u in [0, 1] the angle lies in
-    [0, pi] and |R_{dm,dp}| = |d^S_{dm,dp}(2 beta_tilde)| entrywise.
+    i.e. 2 beta_tilde = 2 arcsin(u) in [-pi, pi]; for every u in [-1, 1],
+    |R_{dm,dp}| = |d^S_{dm,dp}(2 beta_tilde)| entrywise.
     """
     ang = mixing_angle(p)
     u = (ang.g_eff / ang.Gamma) * math.sin(ang.Gamma * p.T)
@@ -71,9 +118,7 @@ def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     n0 = float(n0)
     if not (n0 >= 0.0 and math.isfinite(n0)):
         raise ValueError(f"input photon number must be >= 0, got {n0}")
-    center = _central_index(p)
-    col = propagator(p)[:, center]
-    return n0 * np.abs(col) ** 2
+    return n0 * central_column_sq(p, [p.gamma])[0]
 
 
 def mean_field_envelope(p: ModulatorParams) -> complex:
@@ -91,11 +136,11 @@ def mean_field_envelope(p: ModulatorParams) -> complex:
 
 def central_mode_probability(p: ModulatorParams, dm=0) -> float:
     """|R_{dm,0}|^2: probability to reach offset dm from the central mode."""
-    center = _central_index(p)
     dm = int(dm)
     if abs(dm) > p.S:
         raise ValueError(f"offset dm={dm} outside -S..S for S={p.S}")
-    return float(np.abs(propagator(p)[center + dm, center]) ** 2)
+    occ = central_column_sq(p, [p.gamma])[0]
+    return float(occ[occ.size // 2 + dm])
 
 
 def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
@@ -109,24 +154,22 @@ def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
     dm_range = [int(d) for d in dm_range]
     if any(abs(d) > p_large_S.S / 10.0 for d in dm_range):
         raise ValueError(f"offsets {dm_range} exceed |dm| <= S/10 for S={p_large_S.S}")
-    center = _central_index(p_large_S)
-    R = propagator(p_large_S)
+    occ = central_column_sq(p_large_S, [p_large_S.gamma])[0]
+    center = occ.size // 2
     mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T).mu
     seq = bessel_j_sequence(max(abs(d) for d in dm_range) if dm_range else 0, mu)
-    return [(d, float(np.abs(R[center + d, center])), float(abs(seq[abs(d)])))
+    return [(d, math.sqrt(occ[center + d]), float(abs(seq[abs(d)])))
             for d in dm_range]
 
 
 def revival_scan(p_base: ModulatorParams, gamma_grid):
     """Central-mode return probability |R_00|^2 over a grid of couplings.
 
-    Grid points are independent (safe to parallelize externally); results
-    come back in input-grid order.
+    Results come back in input-grid order, as (gamma, probability) pairs.
     """
     grid = [float(g) for g in gamma_grid]
-    if not grid:
-        raise ValueError("gamma grid must be non-empty")
-    return [(g, central_mode_probability(p_base.with_gamma(g))) for g in grid]
+    occ = central_column_sq(p_base, grid)
+    return list(zip(grid, occ[:, occ.shape[1] // 2].tolist()))
 
 
 def find_revival_peak(scan):

@@ -8,7 +8,7 @@ real linear algebra.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,17 +41,20 @@ class ModulatorParams:
 
     S : half-integer, 2S+1 interacting modes
     Omega : optical mode spacing (angular frequency)
-    OmegaMW : microwave drive frequency (angular frequency)
+    omega : detuning Omega - OmegaMW of the mode spacing against the drive
     gamma : effective mode-coupling strength (angular frequency)
     T : interaction time
     m_tilde : central mode index (display only; defaults to 0)
 
-    The microwave phase is fixed to 0 by the model.
+    The detuning is stored as given and the microwave frequency OmegaMW is
+    derived from it, since every restricted-model quantity depends on the
+    detuning: a detuning far below Omega's rounding step survives.  The
+    microwave phase is fixed to 0 by the model.
     """
 
     S: float
     Omega: float
-    OmegaMW: float
+    omega: float
     gamma: float
     T: float
     m_tilde: float = 0.0
@@ -64,8 +67,9 @@ class ModulatorParams:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if not (self.T >= 0.0 and math.isfinite(self.T)):
             raise ValueError(f"T must be non-negative, got {self.T}")
-        if not math.isfinite(self.OmegaMW):
-            raise ValueError(f"OmegaMW must be finite, got {self.OmegaMW}")
+        if not (math.isfinite(self.omega) and math.isfinite(self.OmegaMW)):
+            raise ValueError(f"detuning and OmegaMW must be finite, got omega={self.omega}, "
+                             f"OmegaMW={self.OmegaMW}")
         if not (math.isfinite(self.m_tilde) and self.m_tilde >= 0.0):
             raise ValueError(f"m_tilde must be a non-negative index, got {self.m_tilde}")
         if not math.isfinite(self.omega_opt):
@@ -75,13 +79,12 @@ class ModulatorParams:
     @classmethod
     def from_detuning(cls, S, Omega, detune, gamma, T, m_tilde=0.0):
         """Build params from the detuning omega = Omega - OmegaMW."""
-        return cls(S=S, Omega=Omega, OmegaMW=Omega - detune, gamma=gamma,
-                   T=T, m_tilde=m_tilde)
+        return cls(S=S, Omega=Omega, omega=detune, gamma=gamma, T=T, m_tilde=m_tilde)
 
     @property
-    def omega(self) -> float:
-        """Detuning of mode spacing against the microwave drive."""
-        return self.Omega - self.OmegaMW
+    def OmegaMW(self) -> float:
+        """Microwave drive frequency Omega - omega."""
+        return self.Omega - self.omega
 
     @property
     def n_modes(self) -> int:
@@ -92,8 +95,6 @@ class ModulatorParams:
         """Carrier frequency m_tilde * Omega."""
         return self.m_tilde * self.Omega
 
-    def with_gamma(self, gamma: float) -> "ModulatorParams":
-        return replace(self, gamma=gamma)
 
 
 class MixingAngle(NamedTuple):
@@ -112,13 +113,15 @@ def ladder_weights(S) -> np.ndarray:
     return np.sqrt((float(S) + 1.0 + dm) * (float(S) - dm))
 
 
-def mixing_angle(p: ModulatorParams) -> MixingAngle:
+def mixing_angle(p: ModulatorParams, gamma=None) -> MixingAngle:
     """Rabi-type frequency Gamma and the diagonalizing angle 2*beta.
 
     sin(2 beta) = g_eff / Gamma and cos(2 beta) = (omega/2) / Gamma with
     g_eff = 2 gamma / (2S+1); since g_eff >= 0 the angle lies in [0, pi].
+    A float ``gamma`` >= 0 replaces p.gamma, so a coupling grid over ``p``
+    needs no parameter record per point.
     """
-    g_eff = 2.0 * p.gamma / p.n_modes
+    g_eff = 2.0 * (p.gamma if gamma is None else gamma) / p.n_modes
     half_detune = 0.5 * p.omega
     gamma_rabi = math.hypot(half_detune, g_eff)
     if gamma_rabi == 0.0:

@@ -192,6 +192,17 @@ def bessel_j_grid(n, x) -> np.ndarray:
     return out
 
 
+def _mu(omega, gamma, T):
+    """(4 gamma / omega) sin(omega T / 2), or 2 gamma T below SMALL_DETUNE_PHASE.
+
+    ``gamma`` is a float or an array; each element gets the arithmetic of a
+    float, since the sine is one float factor.
+    """
+    if abs(omega) * T < SMALL_DETUNE_PHASE:
+        return 2.0 * gamma * T
+    return (4.0 * gamma / omega) * math.sin(0.5 * omega * T)
+
+
 def modulation_index(omega, gamma, T) -> ModulationIndex:
     """mu = (4 gamma / omega) sin(omega T / 2), continued as 2 gamma T at omega=0."""
     omega = float(omega)
@@ -200,14 +211,24 @@ def modulation_index(omega, gamma, T) -> ModulationIndex:
     for name, v in (("omega", omega), ("gamma", gamma), ("T", T)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    if abs(omega) * T < SMALL_DETUNE_PHASE:
-        mu = 2.0 * gamma * T
-    else:
-        mu = (4.0 * gamma / omega) * math.sin(0.5 * omega * T)
+    mu = _mu(omega, gamma, T)
     if not math.isfinite(mu):
         raise ValueError(f"modulation index overflows: gamma={gamma}, omega={omega}, "
                          f"T={T} give mu={mu}")
     return ModulationIndex(mu=mu, omega=omega, gamma=gamma, T=T)
+
+
+def modulation_index_grid(omega, gammas, T) -> np.ndarray:
+    """``modulation_index(omega, g, T).mu`` for every g of a non-empty array,
+    bit for bit.
+
+    |mu| grows with |gamma|, so checking the two extreme couplings as floats
+    refuses a grid that would overflow before any array arithmetic runs.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    for g in (float(gammas.min()), float(gammas.max())):
+        modulation_index(omega, g, T)
+    return _mu(float(omega), gammas, float(T))
 
 
 def default_cutoff(mu) -> int:

@@ -126,28 +126,37 @@ def _sy_eigensystem(two_s):
     return lam, X, Y
 
 
-def wigner_d_exponential(S, theta) -> WignerMatrix:
-    """d^S(theta) = exp(-i (theta/2) F) through the real spectral calculus of F.
+def _d_exponential(two_s, theta):
+    """d(theta) entries from the cached chiral eigensystem.
 
-    With c = cos(theta lam / 2) and s = sin(theta lam / 2) on the chiral
-    eigensystem of ``_sy_eigensystem``, the four parity blocks of d are
-    X c X^T (even rows and columns), Y c Y^T (odd, odd), X s Y^T (even,
-    odd) and its negative transpose (odd, even): three real half-size
-    products.  The eigensystem is cached per spin, so angle scans cost one
-    decomposition total.
+    With c = cos(theta lam / 2) and s = sin(theta lam / 2), the four parity
+    blocks of d are X c X^T (even rows and columns), Y c Y^T (odd, odd),
+    X s Y^T (even, odd) and its negative transpose (odd, even): three real
+    half-size products.
     """
-    two_s = _check_spin(S)
     lam, X, Y = _sy_eigensystem(two_s)
-    c = np.cos(0.5 * theta * lam)
-    s = np.sin(0.5 * theta * lam)
+    half_angles = (0.5 * theta) * lam
+    c = np.cos(half_angles)
+    s = np.sin(half_angles)
     D = np.empty((two_s + 1, two_s + 1))
     D[0::2, 0::2] = (X * c) @ X.T
     D[1::2, 1::2] = (Y * c) @ Y.T
     xsy = (X * s) @ Y.T
     D[0::2, 1::2] = xsy
     D[1::2, 0::2] = -xsy.T
-    return WignerMatrix(S=two_s / 2.0, theta=float(theta), entries=D,
-                        method="exponential")
+    return D
+
+
+def wigner_d_exponential(S, theta) -> WignerMatrix:
+    """d^S(theta) = exp(-i (theta/2) F) through the real spectral calculus of F.
+
+    The eigensystem of ``_sy_eigensystem`` is cached per spin, so angle
+    scans cost one decomposition total; ``_d_exponential`` holds the
+    arithmetic.
+    """
+    two_s = _check_spin(S)
+    return WignerMatrix(S=two_s / 2.0, theta=float(theta),
+                        entries=_d_exponential(two_s, theta), method="exponential")
 
 
 @lru_cache(maxsize=8)

@@ -21,7 +21,6 @@ import pytest
 
 from eomod import cli, verify
 from eomod.dynamics import (
-    closed_form_angles,
     find_revival_peak,
     mode_occupations,
     propagator,
@@ -93,15 +92,11 @@ def test_a4_exact_revival():
 def test_a5_closed_form_magnitude():
     rng = np.random.default_rng(2718)
     worst = 0.0
-    done = 0
-    while done < 50:
+    for _ in range(50):  # u = sin 2beta sin Gamma T of either sign
         S = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]))
         p = ModulatorParams.from_detuning(
             S=S, Omega=OMEGA, detune=rng.uniform(-1.5, 1.5),
             gamma=rng.uniform(0.0, 6.0), T=rng.uniform(0.0, 5.0))
-        if not 0.0 <= closed_form_angles(p).sin_product <= 1.0:
-            continue
-        done += 1
         worst = max(worst, verify.closed_form_defect(p))
     report("A5", worst < 1e-9,
            f"|R| vs |d(2beta~)| over 50 tuples: dev {worst:.3e} (tol 1e-9)")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eomod import cli, verify
+from eomod.dynamics import propagator
+from eomod.su2 import ModulatorParams
 
 
 def run(argv, capsys=None):
@@ -131,6 +134,14 @@ class TestSpectrum:
         assert manifest["params"]["gamma"] == 7.0
         assert manifest["params"]["t"] == pytest.approx(2 * math.pi / 30)
 
+    def test_manifest_echoes_tiny_detuning(self, tmp_path):
+        # a detuning far below Omega's rounding step is kept, not lost to 30 - 1e-20
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--detune", "1e-20", "--scan=0:1:1",
+                    "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["params"]["detune"] == 1e-20
+
     def test_invalid_scan_exit2(self):
         assert run(["spectrum", "--scan=5:1:1"]) == 2
         assert run(["spectrum", "--scan=oops"]) == 2
@@ -193,6 +204,38 @@ class TestGammaScan:
 
     def test_dm_out_of_range_exit2(self):
         assert run(["gamma-scan", "--dm", "4", "--gamma-grid", "0:1:1"]) == 2
+
+    @pytest.mark.parametrize("dm", [-2, 1])
+    def test_restricted_column_reads_offset_dm(self, tmp_path, dm):
+        # the column route against the entry R_{dm,0} of the full propagator
+        out = tmp_path / "g.csv"
+        assert run(["gamma-scan", "--model", "restricted", "--detune", "5",
+                    "--dm", str(dm), "--gamma-grid", "0:20:2.5", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        expected = [abs(propagator(ModulatorParams.from_detuning(
+            S=3, Omega=30.0, detune=5.0, gamma=g, T=2 * math.pi / 30))[3 + dm, 3]) ** 2
+            for g in rows[:, 0]]
+        assert np.allclose(rows[:, 1], expected, rtol=1e-11, atol=1e-15)
+
+    @pytest.mark.parametrize("model,rc", [("restricted", 2), ("both", 2),
+                                          ("unrestricted", 0)])
+    def test_negative_coupling_only_restricted_refuses(self, tmp_path, model, rc):
+        # the Bessel model is defined for gamma < 0, the su(2) model is not
+        assert run(["gamma-scan", "--model", model, "--gamma-grid=-1:1:0.5",
+                    "--out", str(tmp_path / "g.csv")]) == rc
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma-scan", "--gamma-grid", "0:1e308:1e307"],
+        ["gamma-scan", "--model", "restricted", "--t", "1e308", "--gamma-grid", "0:2:1"],
+        ["spectrum", "--gamma", "1e308", "--scan=0:1:1"],
+        ["spectrum", "--t", "1e308", "--scan=0:1:1"],
+    ])
+    def test_overflow_exit2_without_warning(self, argv, capsys):
+        # the CI smoke steps run with PYTHONWARNINGS=error as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_negative_dm_flag(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -365,6 +408,8 @@ def _argvs(draw):
 @example(argv=["spectrum", "--omega-mw", "-1e1", "--scan=-2:2:1"])
 @example(argv=["spectrum", "--gamma", "-1e-3", "--scan=-2:2:1"])
 @example(argv=["spectrum", "--omega-mw", "-inf", "--scan=0:1:1"])
+@example(argv=["spectrum", "--detune", "1e-20", "--scan=0:1:1"])
+@example(argv=["spectrum", "--detune", "1e-20", "--gamma", "0", "--scan=0:1:1"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eomod import verify
 from eomod.dynamics import (
+    central_column_sq,
     central_mode_probability,
     closed_form_angles,
     find_revival_peak,
@@ -152,6 +154,58 @@ class TestEnvelope:
         assert abs(abs(env) - 1.0) > 1e-2
 
 
+class TestCentralColumn:
+    def test_matches_propagator_column(self):
+        # u = sin 2beta sin Gamma T of both signs, S <= 40 and one S = 150 case
+        rng = np.random.default_rng(20261018)
+        cases = [params(S=int(rng.integers(1, 41)), detune=rng.uniform(-2.0, 2.0),
+                        gamma=rng.uniform(0.0, 80.0), T=rng.uniform(0.0, 1.0))
+                 for _ in range(40)]
+        cases.append(params(S=150, detune=0.1, gamma=37.0))
+        signs = {closed_form_angles(p).sin_product > 0.0 for p in cases}
+        assert signs == {False, True}
+        worst = 0.0
+        for p in cases:
+            c = round(p.S)
+            col = np.abs(propagator(p)[:, c]) ** 2
+            worst = max(worst, np.max(np.abs(central_column_sq(p, [p.gamma])[0] - col)))
+        assert worst < 1e-14
+
+    def test_grid_rows_equal_single_couplings(self):
+        grid = np.arange(0.0, 60.001, 2.5)
+        occ = central_column_sq(params(S=7), grid)
+        assert occ.shape == (grid.size, 15)
+        for g, row in zip(grid.tolist(), occ):
+            assert np.array_equal(row, central_column_sq(params(S=7), [g])[0])
+            assert np.array_equal(row, mode_occupations(params(S=7, gamma=g), 1.0))
+
+    def test_coupling_off_is_central_mode(self):
+        for S in (1, 4, 40):
+            expected = np.zeros(2 * S + 1)
+            expected[S] = 1.0
+            occ = central_column_sq(params(S=S), [0.0])[0]
+            assert np.max(np.abs(occ - expected)) < 1e-14
+
+    def test_half_integer_spin_refused(self):
+        with pytest.raises(ValueError, match="central mode"):
+            central_column_sq(params(S=2.5), [1.0])
+
+    @pytest.mark.parametrize("grid", [[], [[1.0]], [1.0, -1e-3], [1.0, math.nan],
+                                      [0.0, math.inf]])
+    def test_bad_grid_refused(self, grid):
+        with pytest.raises(ValueError):
+            central_column_sq(params(), grid)
+
+    @pytest.mark.parametrize("p,grid", [(params(), [0.0, 1e308]),
+                                        (params(T=1e308), [0.0, 2.0]),
+                                        (params(detune=0.0), [0.0, 1.0])])
+    def test_overflow_and_degenerate_refused_without_warning(self, p, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                central_column_sq(p, grid)
+
+
 class TestRevivalScan:
     def test_gamma_zero_gridpoint(self):
         scan = revival_scan(params(), [0.0, 1.0, 2.0])
@@ -194,8 +248,7 @@ def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_til
     # the verify measures at their verify tolerances, away from its fixed samples
     p = ModulatorParams.from_detuning(S=two_s / 2, Omega=Omega, detune=detune,
                                       gamma=gamma, T=T, m_tilde=m_tilde)
-    # mixing angle undefined otherwise; a subnormal detune rounds to omega = 0
-    assume(p.omega != 0.0 or gamma != 0.0)
+    assume(p.omega != 0.0 or gamma != 0.0)  # mixing angle undefined otherwise
     mu = modulation_index(p.omega, p.gamma, p.T).mu
     # beyond |mu| = 200 the sideband cut is too small (ROADMAP item 1)
     bessel_ok = abs(mu) <= 200.0
@@ -205,8 +258,7 @@ def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_til
         if bessel_ok:  # both curves, over every mode and two spacings beyond
             grid = Omega * np.linspace(-two_s / 2 - 2, two_s / 2 + 2, 61)
             assert verify.scan_bounds_defect(p, half_width, grid) <= 1e-12
-    if 0.0 <= closed_form_angles(p).sin_product <= 1.0:
-        assert verify.closed_form_defect(p) <= 1e-9
+    assert verify.closed_form_defect(p) <= 1e-9
     if bessel_ok:
         assert verify.bessel_normalization_defect(mu) <= 1e-12
         for n in (1, 2, math.floor(abs(mu)) + 1):

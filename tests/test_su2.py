@@ -72,19 +72,24 @@ class TestGenerators:
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModulatorParams(S=3, Omega=-1.0, OmegaMW=1.0, gamma=0.0, T=0.0)
+            ModulatorParams(S=3, Omega=-1.0, omega=-2.0, gamma=0.0, T=0.0)
         with pytest.raises(ValueError):
-            ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=-2.0, T=0.1)
+            ModulatorParams(S=3, Omega=30.0, omega=0.1, gamma=-2.0, T=0.1)
         with pytest.raises(ValueError):
-            ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=2.0, T=-0.1)
+            ModulatorParams(S=3, Omega=30.0, omega=0.1, gamma=2.0, T=-0.1)
+        with pytest.raises(ValueError):  # OmegaMW = Omega - omega overflows
+            ModulatorParams(S=3, Omega=1e308, omega=-1e308, gamma=2.0, T=0.1)
         with pytest.raises(ValueError):  # the carrier m_tilde*Omega overflows
-            ModulatorParams(S=3, Omega=30.0, OmegaMW=29.9, gamma=2.0, T=0.1,
+            ModulatorParams(S=3, Omega=30.0, omega=0.1, gamma=2.0, T=0.1,
                             m_tilde=1e308)
 
     def test_detuning_roundtrip(self):
         p = params(detune=0.1)
-        assert p.omega == pytest.approx(0.1, abs=1e-12)
+        assert p.omega == 0.1
+        assert p.OmegaMW == 30.0 - 0.1
         assert p.n_modes == 7
+        # a detuning below Omega's rounding step is kept, not lost to 30 - 1e-20
+        assert params(detune=1e-20).omega == 1e-20
 
 
 class TestMixingAngle:

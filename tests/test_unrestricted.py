@@ -14,6 +14,7 @@ from eomod.unrestricted import (
     classical_signal_check,
     default_cutoff,
     modulation_index,
+    modulation_index_grid,
     unrestricted_occupations,
 )
 
@@ -134,6 +135,20 @@ class TestModulationIndex:
         for omega, T in ((0.1, TP), (0.0, 10.0)):  # both branches
             with pytest.raises(ValueError):
                 modulation_index(omega, 1e308, T)
+
+    @pytest.mark.parametrize("omega", [0.1, -3.0, 1e-9, 0.0])  # both branches
+    def test_grid_equals_scalar_bitwise(self, omega):
+        gammas = np.concatenate([np.arange(-5.0, 60.001, 0.25), [1e-300, 7e300]])
+        expected = [modulation_index(omega, g, TP).mu for g in gammas.tolist()]
+        assert np.array_equal(_bits(modulation_index_grid(omega, gammas, TP)),
+                              _bits(expected))
+
+    def test_grid_guards(self):
+        # the extremes are checked as floats, so an overflowing grid raises
+        # before any array arithmetic could warn
+        for bad in ([0.0, 1e308], [-1e308, 0.0], [1.0, math.nan], []):
+            with pytest.raises(ValueError):
+                modulation_index_grid(0.1, bad, TP)
 
 
 class TestOccupations:
