@@ -11,8 +11,11 @@ one real matrix product with the complex factor diag(...) d^T read as
 interleaved (re, im) float64 columns.  Every counting observable reads
 only |R_{dm,0}|^2, one column, since the photon enters the central mode:
 ``central_column_sq`` computes it over a whole coupling grid without
-forming R.  The lab-frame mode phases enter solely the mean-field
-envelope, which computes them where it needs them.
+forming R, a block of couplings at a time: one stacked d(2 beta) build and
+one stacked real product per block instead of one Python iteration per
+coupling, with each coupling's arithmetic unchanged.  The lab-frame mode
+phases enter solely the mean-field envelope, which computes them where it
+needs them.
 """
 
 import math
@@ -23,6 +26,8 @@ import numpy as np
 from .su2 import ModulatorParams, mixing_angle, mode_offsets
 from .unrestricted import bessel_j_sequence, modulation_index
 from .wigner import _d_exponential, wigner_d_exponential
+
+_STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
 
 
 class ClosedFormAngles(NamedTuple):
@@ -68,10 +73,17 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
 
     Row g holds the occupations at coupling ``gammas[g]``, the other
     parameters taken from ``p``, offsets ascending; a row does not depend
-    on the rest of the grid.  The grid is checked before any matrix is
-    built.  Per coupling, d(2 beta) is built from the cached eigensystem
-    and the central column R[:, c] = d (e o d[c, :]) is one real (n x 2)
-    product on the interleaved complex vector, so R is never formed.
+    on the rest of the grid, bit for bit.  The grid is checked before any
+    matrix is built, coupling by coupling as Python floats.  Per coupling,
+    d(2 beta) is built from the cached eigensystem and the central column
+    R[:, c] = d (e o d[c, :]) is one real (n x 2) product on the
+    interleaved complex vector, so R is never formed.  Couplings go in
+    blocks of max(1, _STACK_ELEMS // n^2), each one stacked d-matrix build
+    and one stacked (g, n, n) @ (g, n, 2) product: a small-spin grid costs
+    a few array calls instead of one Python iteration per coupling.  The
+    bound keeps a block's stack near 512 KiB, so memory does not grow with
+    the grid (at n = 301 a block is one coupling; a whole 61-point stack
+    would hold 45 MB).
     """
     center = _central_index(p)
     grid = np.asarray(gammas, dtype=float)
@@ -85,18 +97,17 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
         ang = mixing_angle(p, gamma)
         angles.append(ang.two_beta)
         rates.append(_phase_rate(p, ang.Gamma))
+    angles, rates = np.array(angles), np.array(rates)[:, None]
     n = 2 * center + 1
     offsets = np.arange(-center, center + 1.0)  # mode_offsets(p.S)
-    right = np.empty(n, dtype=complex)  # e o d[c, :]
-    pairs = right.view(np.float64).reshape(n, 2)  # ... as interleaved (re, im)
-    col = np.empty((n, 2))
+    block = max(1, _STACK_ELEMS // (n * n))
     out = np.empty((grid.size, n))
-    for g, (angle, rate) in enumerate(zip(angles, rates)):
-        D = _d_exponential(n - 1, angle)
-        np.multiply(np.exp(rate * offsets), D[center], out=right)
-        np.matmul(D, pairs, out=col)  # R[:, c] as (re, im) pairs
+    for lo in range(0, grid.size, block):
+        D = _d_exponential(n - 1, angles[lo:lo + block])
+        right = np.exp(rates[lo:lo + block] * offsets) * D[:, center]  # e o d[c, :]
+        col = D @ right.view(np.float64).reshape(-1, n, 2)  # R[:, c] as (re, im)
         np.square(col, out=col)
-        np.add(col[:, 0], col[:, 1], out=out[g])
+        np.add(col[:, :, 0], col[:, :, 1], out=out[lo:lo + block])
     return out
 
 

@@ -132,18 +132,25 @@ def _d_exponential(two_s, theta):
     With c = cos(theta lam / 2) and s = sin(theta lam / 2), the four parity
     blocks of d are X c X^T (even rows and columns), Y c Y^T (odd, odd),
     X s Y^T (even, odd) and its negative transpose (odd, even): three real
-    half-size products.
+    half-size products.  ``theta`` may be an array of angles: the result is
+    then the stack of shape ``theta.shape + (n, n)``, each slice equal bit
+    for bit to the scalar call at its angle (the products broadcast over
+    the leading axes, one matrix product per angle).  The stack holds
+    theta.size * n^2 floats and a few half-size temporaries of the same
+    order, so the caller bounds its size (``dynamics.central_column_sq``
+    passes blocks of at most 2^16 entries, or one angle when n^2 exceeds
+    that).
     """
     lam, X, Y = _sy_eigensystem(two_s)
-    half_angles = (0.5 * theta) * lam
-    c = np.cos(half_angles)
+    half_angles = (0.5 * np.asarray(theta, dtype=float))[..., None, None] * lam
+    c = np.cos(half_angles)  # theta.shape + (1, len(lam)): scales the columns
     s = np.sin(half_angles)
-    D = np.empty((two_s + 1, two_s + 1))
-    D[0::2, 0::2] = (X * c) @ X.T
-    D[1::2, 1::2] = (Y * c) @ Y.T
+    D = np.empty(half_angles.shape[:-2] + (two_s + 1, two_s + 1))
+    D[..., 0::2, 0::2] = (X * c) @ X.T
+    D[..., 1::2, 1::2] = (Y * c) @ Y.T
     xsy = (X * s) @ Y.T
-    D[0::2, 1::2] = xsy
-    D[1::2, 0::2] = -xsy.T
+    D[..., 0::2, 1::2] = xsy
+    D[..., 1::2, 0::2] = -xsy.swapaxes(-1, -2)
     return D
 
 

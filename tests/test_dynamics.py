@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,13 +172,40 @@ class TestCentralColumn:
             worst = max(worst, np.max(np.abs(central_column_sq(p, [p.gamma])[0] - col)))
         assert worst < 1e-14
 
-    def test_grid_rows_equal_single_couplings(self):
-        grid = np.arange(0.0, 60.001, 2.5)
-        occ = central_column_sq(params(S=7), grid)
-        assert occ.shape == (grid.size, 15)
+    # one block of 25 rows at S = 7; three blocks at S = 40 (9 rows each);
+    # two at S = 3 (1337 rows each, 2001 rows)
+    @pytest.mark.parametrize("S,step", [(7, 2.5), (40, 2.5), (3, 0.03)],
+                             ids=["7", "40", "3-dense"])
+    def test_grid_rows_equal_single_couplings(self, S, step):
+        grid = np.arange(0.0, 60.001, step)
+        occ = central_column_sq(params(S=S), grid)
+        assert occ.shape == (grid.size, 2 * S + 1)
         for g, row in zip(grid.tolist(), occ):
-            assert np.array_equal(row, central_column_sq(params(S=7), [g])[0])
-            assert np.array_equal(row, mode_occupations(params(S=7, gamma=g), 1.0))
+            assert np.array_equal(row, central_column_sq(params(S=S), [g])[0])
+            assert np.array_equal(row, mode_occupations(params(S=S, gamma=g), 1.0))
+
+    @pytest.mark.parametrize("detune", [-0.1, 0.1, -1e-300])  # -detune at gamma 0: 2beta = pi
+    @pytest.mark.parametrize("S", [1, 3, 40])
+    def test_edge_couplings(self, S, detune):
+        # gamma = 0 and sin(2 beta) down to the subnormal range, and large couplings
+        grid = [0.0, 5e-324, 1e-300, 1e-150, 1.0, 26.25, 1e6]
+        occ = central_column_sq(params(S=S, detune=detune), grid)
+        for g, row in zip(grid, occ):
+            assert np.array_equal(row, central_column_sq(params(S=S, detune=detune), [g])[0])
+        assert np.max(np.abs(occ.sum(axis=1) - 1.0)) <= 1e-14
+
+    def test_memory_bounded_by_block(self):
+        # one coupling per block at n = 301: the whole 61-point stack would be ~45 MB
+        p = params(S=150)
+        grid = np.linspace(0.0, 60.0, 61)
+        central_column_sq(p, grid[:1])  # cache the n = 301 eigensystem first
+        tracemalloc.start()
+        try:
+            central_column_sq(p, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_coupling_off_is_central_mode(self):
         for S in (1, 4, 40):

@@ -87,6 +87,13 @@ class TestExponentialRoute:
     @pytest.mark.parametrize("S", [3, 3.5])  # with and without the zero mode
     def test_real_entries(self, S):
         assert wigner_d_exponential(S, 0.77).entries.dtype == np.float64
+        # an array of angles gives the stack of the scalar calls, bit for bit
+        thetas = np.array([[0.0, 0.77, math.pi], [-2.5, 1e-300, 40.0]])
+        stack = wigner._d_exponential(round(2 * S), thetas)
+        assert stack.shape == thetas.shape + (round(2 * S) + 1,) * 2
+        for idx in np.ndindex(thetas.shape):
+            assert np.array_equal(stack[idx],
+                                  wigner_d_exponential(S, thetas[idx]).entries)
 
     def test_broken_pairing_raises(self, monkeypatch):
         def rotated_pair(A):
