@@ -240,11 +240,12 @@ def _manifest(cfg: RunConfig, command, extra=None) -> dict:
 
 def _write_dataset(cfg_out, fmt, header, columns, manifest):
     """Write CSV/JSON plus the manifest sidecar; stdout when no path given."""
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    if fmt == "csv":
-        line = ",".join([FLOAT_FMT] * len(header)) + "\n"
-        text = ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
+    if fmt == "csv":  # "%.11e" renders every float as FLOAT_FMT does, byte for byte
+        table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+        line = ",".join(["%.11e"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
     else:
+        rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
         data = [{h: float(FLOAT_FMT.format(v)) for h, v in zip(header, row)}
                 for row in rows]
         text = json.dumps({"config": manifest, "data": data},
@@ -261,6 +262,11 @@ def _write_dataset(cfg_out, fmt, header, columns, manifest):
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     offsets_display = cfg.scan.values()
+    edge = float(max(-offsets_display[0], offsets_display[-1]))
+    carrier = cfg.params.omega_opt if cfg.absolute else 0.0
+    if not math.isfinite(edge * cfg.display_unit + carrier):
+        raise ValueError(f"absolute filter offsets overflow: scan edge {edge} x display "
+                         f"unit {cfg.display_unit} + carrier {carrier}")
     offsets_abs = offsets_display * cfg.display_unit
     scan = spectral_scan(cfg.params, cfg.filter, offsets_abs, cfg.model)
     axis_name = "omega_f_absolute" if cfg.absolute else "omega_f_display"

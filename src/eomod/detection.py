@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import mode_occupations
-from .su2 import ModulatorParams, mode_offsets
+from .su2 import ModulatorParams
 from .unrestricted import modulation_index, unrestricted_occupations
 
 MODELS = ("restricted", "unrestricted", "both")
+_KERNEL_REACH = 28.0  # half-widths; exp(-28.0**2) == 0.0 in float64
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,28 @@ class SpectralScan:
     params: ModulatorParams
 
 
-def _kernel_sum(weights, mode_offsets_abs, f: FilterSpec, filter_offsets):
-    """Filter-weighted sums at each filter offset; all offsets carrier-relative."""
-    z = (mode_offsets_abs[None, :] - filter_offsets[:, None]) / f.half_width
-    return np.exp(-z * z) @ weights
+def _kernel_sum(weights, spacing, f: FilterSpec, filter_offsets):
+    """Filter-weighted sums at each filter offset over the ladder of modes
+    spacing * (-c..c), c = weights.size // 2; all offsets carrier-relative.
+
+    exp(-z^2) is exactly 0.0 in float64 once |z| > 27.3, so only the
+    contiguous band of modes within _KERNEL_REACH half-widths of the grid
+    enters the sum, and |mode - offset| is capped at that reach before the
+    division: the kept kernel entries are the dense ones bit for bit, and
+    no z overflows however small the half-width.  Refuses a ladder and grid
+    whose largest mode-to-offset distance overflows.
+    """
+    c = weights.size // 2
+    first, last = float(filter_offsets[0]), float(filter_offsets[-1])
+    if not math.isfinite(float(spacing) * c + max(-first, last)):
+        raise ValueError(f"largest mode-to-filter distance overflows: Omega*{c} = "
+                         f"{float(spacing) * c}, filter offsets {first}..{last}")
+    reach = _KERNEL_REACH * f.half_width
+    modes = spacing * np.arange(-c, c + 1.0)
+    lo, hi = np.searchsorted(modes, [first - reach, last + reach])
+    x = modes[None, lo:hi] - filter_offsets[:, None]
+    z = np.clip(x, -reach, reach, out=x) / f.half_width
+    return np.exp(-z * z) @ weights[lo:hi]
 
 
 def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
@@ -68,18 +87,15 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("scan grid must be non-empty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
+    if not np.all(grid[1:] > grid[:-1]):  # NaN fails too; no difference can overflow
         raise ValueError("scan grid must be strictly increasing")
 
     restricted = unrestricted_curve = None
     if model != "unrestricted":
-        restricted = _kernel_sum(mode_occupations(p, 1.0),
-                                 p.Omega * mode_offsets(p.S), f, grid)
+        restricted = _kernel_sum(mode_occupations(p, 1.0), p.Omega, f, grid)
     if model != "restricted":
         weights = unrestricted_occupations(modulation_index(p.omega, p.gamma, p.T))
-        cut = weights.size // 2
-        unrestricted_curve = _kernel_sum(weights, p.Omega * np.arange(-cut, cut + 1),
-                                         f, grid)
+        unrestricted_curve = _kernel_sum(weights, p.Omega, f, grid)
 
     return SpectralScan(frequencies=grid, restricted=restricted,
                         unrestricted=unrestricted_curve, params=p)

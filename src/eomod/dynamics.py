@@ -74,7 +74,11 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
     Row g holds the occupations at coupling ``gammas[g]``, the other
     parameters taken from ``p``, offsets ascending; a row does not depend
     on the rest of the grid, bit for bit.  The grid is checked before any
-    matrix is built, coupling by coupling as Python floats.  Per coupling,
+    matrix is built, through its extremes as Python floats: the smallest
+    coupling for sign, NaN and omega = gamma = 0, the largest for an
+    overflowing eigenphase.  The angles and Gamma then take mixing_angle's
+    math.atan2/math.hypot per coupling, in one list comprehension each
+    (numpy's versions differ in the last bits).  Per coupling,
     d(2 beta) is built from the cached eigensystem and the central column
     R[:, c] = d (e o d[c, :]) is one real (n x 2) product on the
     interleaved complex vector, so R is never formed.  Couplings go in
@@ -90,15 +94,16 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"gamma grid must be a non-empty 1-d sequence, got shape "
                          f"{grid.shape}")
-    angles, rates = [], []
-    for gamma in grid.tolist():  # Python floats: an overflow raises below, never warns
-        if not gamma >= 0.0:  # an infinite gamma overflows the eigenphase
-            raise ValueError(f"gamma must be non-negative, got {gamma}")
-        ang = mixing_angle(p, gamma)
-        angles.append(ang.two_beta)
-        rates.append(_phase_rate(p, ang.Gamma))
-    angles, rates = np.array(angles), np.array(rates)[:, None]
+    smallest, largest = float(grid.min()), float(grid.max())
+    if not smallest >= 0.0:  # NaN anywhere makes the minimum NaN
+        raise ValueError(f"gamma must be non-negative, got {smallest}")
+    mixing_angle(p, smallest)  # omega = gamma = 0
+    _phase_rate(p, mixing_angle(p, largest).Gamma)  # Gamma grows with gamma
     n = 2 * center + 1
+    half_detune = 0.5 * p.omega  # mixing_angle's arithmetic, one coupling at a time
+    g_eff = (2.0 * grid / n).tolist()
+    angles = np.array([math.atan2(g, half_detune) for g in g_eff])
+    rates = -2j * np.array([math.hypot(half_detune, g) for g in g_eff])[:, None] * p.T
     offsets = np.arange(-center, center + 1.0)  # mode_offsets(p.S)
     block = max(1, _STACK_ELEMS // (n * n))
     out = np.empty((grid.size, n))

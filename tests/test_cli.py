@@ -191,6 +191,22 @@ class TestSpectrum:
         assert run(["spectrum", "--scan=0:1:1", "--out", str(target)]) == 3
 
 
+class TestWriteDataset:
+    def test_csv_bytes_match_float_fmt(self, tmp_path):
+        # every float64 bit pattern class: random bits (NaN payloads, subnormals,
+        # both signs) and the special values, against per-value FLOAT_FMT
+        bits = np.random.default_rng(5).integers(0, 2**64, 99_999, dtype=np.uint64)
+        special = [-0.0, 0.0, 5e-324, 1e-310, math.inf, -math.inf, math.nan, -math.nan]
+        values = np.concatenate([bits.view(np.float64), special * 3])
+        columns = [values[0::3], values[1::3], values[2::3]]
+        out = tmp_path / "t.csv"
+        cli._write_dataset(str(out), "csv", ["a", "b", "c"], columns, {})
+        expected = "a,b,c\n" + "".join(
+            ",".join(cli.FLOAT_FMT.format(v) for v in row) + "\n"
+            for row in zip(*(col.tolist() for col in columns)))
+        assert out.read_bytes() == expected.encode()
+
+
 class TestGammaScan:
     def test_columns_and_values(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -410,6 +426,14 @@ def _argvs(draw):
 @example(argv=["spectrum", "--omega-mw", "-inf", "--scan=0:1:1"])
 @example(argv=["spectrum", "--detune", "1e-20", "--scan=0:1:1"])
 @example(argv=["spectrum", "--detune", "1e-20", "--gamma", "0", "--scan=0:1:1"])
+@example(argv=["spectrum", "--filter-hw", "1e-160"])
+@example(argv=["spectrum", "--filter-hw", "5e-324"])
+@example(argv=["spectrum", "--display-unit", "1e300"])
+@example(argv=["spectrum", "--omega", "1e300"])
+@example(argv=["spectrum", "--omega", "1e307"])
+@example(argv=["spectrum", "--display-unit", "1e307"])
+@example(argv=["spectrum", "--m-tilde", "1e306", "--omega", "100", "--display-unit",
+               "2e306", "--absolute"])
 def test_exit_0_or_2_never_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     rc = run(argv + ["--out", str(out)])

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from eomod.detection import FilterSpec, spectral_scan
+from eomod.detection import FilterSpec, _kernel_sum, spectral_scan
 from eomod.dynamics import mode_occupations
 from eomod.su2 import ModulatorParams
 
@@ -108,3 +109,68 @@ class TestSpectralScan:
             assert sc.unrestricted[i0] == pytest.approx(0.0623368791, abs=1e-9)
             assert np.max(sc.unrestricted) < 0.1
             assert np.argmax(sc.restricted) == i0
+
+
+def dense_kernel_sum(weights, spacing, half_width, grid):
+    """The whole (grid x modes) Gaussian kernel times the weights."""
+    c = weights.size // 2
+    z = (spacing * np.arange(-c, c + 1.0)[None, :] - grid[:, None]) / half_width
+    return np.exp(-z * z) @ weights
+
+
+class TestBandedKernelSum:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            c = int(rng.integers(0, 250))
+            weights = rng.random(2 * c + 1)
+            spacing = rng.uniform(1.0, 60.0)
+            half_width = spacing * 10.0 ** rng.uniform(-1.5, 1.0)
+            span = spacing * c + 40.0 * half_width
+            lo, hi = np.sort(rng.uniform(-span, span, 2))  # often part of the ladder
+            grid = np.unique(rng.uniform(lo, hi, int(rng.integers(1, 120))))
+            dense = dense_kernel_sum(weights, spacing, half_width, grid)
+            band = _kernel_sum(weights, spacing, FilterSpec(half_width), grid)
+            assert np.all(np.abs(band - dense) <= 1e-15 * np.max(dense))
+            assert np.all(band[dense == 0.0] == 0.0)
+
+    def test_reach_keeps_a_mode_25_half_widths_away(self):
+        # exp(-625) ~ 3.6e-272 is a normal float; a reach of 20 would drop it
+        weights = np.array([0.0, 0.0, 0.75, 0.0, 0.0])
+        val = _kernel_sum(weights, 100.0, FilterSpec(2.0), np.array([50.0]))[0]
+        assert val > 0.0
+        assert val == pytest.approx(0.75 * math.exp(-625.0), rel=1e-12)
+
+    def test_empty_band_gives_zeros(self):
+        weights = np.full(7, 1.0 / 7.0)
+        val = _kernel_sum(weights, 30.0, FilterSpec(4.0), np.array([1e4, 1e4 + 1.0]))
+        assert val.tolist() == [0.0, 0.0]
+
+    def test_huge_half_width_band_is_every_mode(self):
+        weights = np.random.default_rng(1).random(61)
+        grid = np.array([-1e3, 0.0, 5.0])
+        val = _kernel_sum(weights, 30.0, FilterSpec(1e300), grid)
+        assert np.array_equal(val, dense_kernel_sum(weights, 30.0, 1e300, grid))
+        assert val == pytest.approx([weights.sum()] * 3, rel=1e-14)
+
+    @pytest.mark.parametrize("half_width", [1e-160, 5e-324])
+    def test_tiny_half_width_reads_the_mode_under_the_filter(self, half_width):
+        weights = np.array([0.25, 0.5, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = _kernel_sum(weights, 30.0, FilterSpec(half_width),
+                              np.array([-30.0, 0.0, 15.0, 1e300]))
+        assert val.tolist() == [0.25, 0.5, 0.0, 0.0]
+
+    def test_overflowing_distance_refused(self):
+        p = ModulatorParams.from_detuning(S=3, Omega=1e307, detune=0.1, gamma=2.0, T=TP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = spectral_scan(p, FilterSpec(4.0), [0.0, 1e308], "restricted")
+            assert np.all(np.isfinite(sc.restricted))
+            for grid in ([-1.7e308, 0.0], [-1e308, 1.7e308]):
+                with pytest.raises(ValueError, match="overflows"):
+                    spectral_scan(p, FilterSpec(4.0), grid, "restricted")
+            with pytest.raises(ValueError, match="increasing"):
+                spectral_scan(params(), FilterSpec(4.0), [0.0, math.nan, 1.0])

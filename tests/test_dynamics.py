@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eomod import verify
 from eomod.dynamics import (
+    _phase_rate,
     central_column_sq,
     central_mode_probability,
     closed_form_angles,
@@ -18,9 +19,9 @@ from eomod.dynamics import (
     propagator,
     revival_scan,
 )
-from eomod.su2 import ModulatorParams, mode_offsets
+from eomod.su2 import ModulatorParams, mixing_angle, mode_offsets
 from eomod.unrestricted import modulation_index
-from eomod.wigner import wigner_d_exponential
+from eomod.wigner import _d_exponential, wigner_d_exponential
 
 from oracles import rk4_propagator
 
@@ -184,6 +185,22 @@ class TestCentralColumn:
             assert np.array_equal(row, central_column_sq(params(S=S), [g])[0])
             assert np.array_equal(row, mode_occupations(params(S=S, gamma=g), 1.0))
 
+    @pytest.mark.parametrize("S", [3, 40])
+    def test_rows_equal_per_coupling_scalar_loop(self, S):
+        # the reference takes mixing_angle and _phase_rate coupling by coupling
+        rng = np.random.default_rng(S)
+        c, n = S, 2 * S + 1
+        for detune in (0.1, -0.37, -1e-300):
+            p = params(S=S, detune=detune)
+            grid = np.concatenate([[0.0, 5e-324, 1e-300], rng.uniform(0.0, 500.0, 60)])
+            occ = central_column_sq(p, grid)
+            for g, row in zip(grid.tolist(), occ):
+                ang = mixing_angle(p, g)
+                D = _d_exponential(n - 1, np.array([ang.two_beta]))
+                right = np.exp(_phase_rate(p, ang.Gamma) * np.arange(-c, c + 1.0)) * D[:, c]
+                col = D @ right.view(np.float64).reshape(1, n, 2)
+                assert np.array_equal(row, col[0, :, 0] ** 2 + col[0, :, 1] ** 2)
+
     @pytest.mark.parametrize("detune", [-0.1, 0.1, -1e-300])  # -detune at gamma 0: 2beta = pi
     @pytest.mark.parametrize("S", [1, 3, 40])
     def test_edge_couplings(self, S, detune):
@@ -219,10 +236,13 @@ class TestCentralColumn:
             central_column_sq(params(S=2.5), [1.0])
 
     @pytest.mark.parametrize("grid", [[], [[1.0]], [1.0, -1e-3], [1.0, math.nan],
-                                      [0.0, math.inf]])
+                                      [0.0, math.inf], [1.0, math.nan, 2.0],
+                                      [1.0, -1.0, 2.0], [1.0, math.inf, 2.0]])
     def test_bad_grid_refused(self, grid):
-        with pytest.raises(ValueError):
-            central_column_sq(params(), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                central_column_sq(params(), grid)
 
     @pytest.mark.parametrize("p,grid", [(params(), [0.0, 1e308]),
                                         (params(T=1e308), [0.0, 2.0]),
