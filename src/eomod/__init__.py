@@ -5,10 +5,8 @@ from .dynamics import (
     ClosedFormAngles,
     asymptotic_compare,
     central_column_sq,
-    central_mode_probability,
     closed_form_angles,
     find_revival_peak,
-    mean_field_envelope,
     mode_occupations,
     propagator,
     revival_scan,
@@ -23,7 +21,6 @@ from .su2 import (
     quasi_energy_matrix,
 )
 from .unrestricted import (
-    ModulationIndex,
     bessel_j,
     bessel_j_grid,
     bessel_j_sequence,
@@ -35,7 +32,6 @@ from .unrestricted import (
 )
 from .wigner import (
     CapabilityError,
-    WignerMatrix,
     jacobi_bessel_limit_check,
     jacobi_poly,
     wigner_d_exponential,

@@ -125,16 +125,26 @@ def _load_config_file() -> dict:
     path = os.environ.get("EOM_CONFIG", "").strip()
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:  # a bad EOM_CONFIG is an invalid parameter, not output I/O
+        raise ValueError(f"EOM_CONFIG file {path!r} cannot be read: "
+                         f"{exc.strerror or exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config file must be a JSON object, got {type(doc).__name__}")
     for key in ("params", "filter", "output", "scan", "gamma_grid"):
         if not isinstance(doc.get(key, {}), dict):
             raise ValueError(f"config file entry {key!r} must be an object, "
                              f"got {type(doc[key]).__name__}")
-    flat = {}
     params = doc.get("params", {})
+    for name, value, kind in (("params.period_t", params.get("period_t"), bool),
+                              ("absolute", doc.get("absolute"), bool),
+                              ("dm", doc.get("dm"), int)):
+        if value is not None and type(value) is not kind:  # True is no int here
+            raise ValueError(f"config file entry {name!r} must be a JSON {kind.__name__} "
+                             f"or null, got {value!r}")
+    flat = {}
     for key in ("s", "omega", "omega_mw", "detune", "gamma", "t",
                 "period_t", "m_tilde"):
         if key in params:
@@ -337,10 +347,9 @@ def cmd_figures(selector, out_dir) -> int:
     return cmd_gamma_scan(cfg, preset["dm"], DEFAULTS["gamma_grid"])
 
 
-def cmd_verify(level, checks=None, stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def cmd_verify(level, checks=None) -> int:
     results = verify.run_checks(level, checks=checks)
-    stream.write(verify.format_report(results) + "\n")
+    sys.stdout.write(verify.format_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -431,10 +440,7 @@ def _build_parser():
 
 
 def _cli_layer(args) -> dict:
-    keys = ("s", "omega", "omega_mw", "detune", "gamma", "t", "period_t",
-            "m_tilde", "filter_hw", "scan", "gamma_grid", "dm", "model",
-            "out", "format", "absolute", "display_unit")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in DEFAULTS if getattr(args, k, None) is not None}
 
 
 def main(argv=None) -> int:

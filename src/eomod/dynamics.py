@@ -13,9 +13,8 @@ only |R_{dm,0}|^2, one column, since the photon enters the central mode:
 ``central_column_sq`` computes it over a whole coupling grid without
 forming R, a block of couplings at a time: one stacked d(2 beta) build and
 one stacked real product per block instead of one Python iteration per
-coupling, with each coupling's arithmetic unchanged.  The lab-frame mode
-phases enter solely the mean-field envelope, which computes them where it
-needs them.
+coupling, with each coupling's arithmetic unchanged.  The full matrix R is
+built only by ``propagator``, for the unitarity and closed-form checks.
 """
 
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from .su2 import ModulatorParams, mixing_angle, mode_offsets
 from .unrestricted import bessel_j_sequence, modulation_index
-from .wigner import _d_exponential, wigner_d_exponential
+from .wigner import wigner_d_exponential
 
 _STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
 
@@ -62,7 +61,7 @@ def propagator(p: ModulatorParams) -> np.ndarray:
     """
     ang = mixing_angle(p)
     eigenphases = np.exp(_phase_rate(p, ang.Gamma) * mode_offsets(p.S))
-    D = wigner_d_exponential(p.S, ang.two_beta).entries
+    D = wigner_d_exponential(p.S, ang.two_beta)
     # R = D (e o D^T), one real product: e o D^T read as float64 (re, im) pairs
     right = np.multiply(eigenphases[:, None], D.T, order="C")
     return (D @ right.view(np.float64)).view(np.complex128)
@@ -108,7 +107,7 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
     block = max(1, _STACK_ELEMS // (n * n))
     out = np.empty((grid.size, n))
     for lo in range(0, grid.size, block):
-        D = _d_exponential(n - 1, angles[lo:lo + block])
+        D = wigner_d_exponential(p.S, angles[lo:lo + block])
         right = np.exp(rates[lo:lo + block] * offsets) * D[:, center]  # e o d[c, :]
         col = D @ right.view(np.float64).reshape(-1, n, 2)  # R[:, c] as (re, im)
         np.square(col, out=col)
@@ -137,28 +136,6 @@ def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     return n0 * central_column_sq(p, [p.gamma])[0]
 
 
-def mean_field_envelope(p: ModulatorParams) -> complex:
-    """Normalized mean-field amplitude sum_dm exp(-i dm OmegaMW T) R_{dm,0}.
-
-    The lab-frame mode phase is exp(-i((m_tilde + dm) OmegaMW + omega m_tilde) T);
-    its m_tilde part and the carrier phase exp(-i omega_opt T) cancel exactly.
-    For S -> infinity this approaches the classical pure phase modulation
-    exp(-i mu cos((OmegaMW - omega/2) T)).
-    """
-    center = _central_index(p)
-    phases = np.exp(-1j * (mode_offsets(p.S) * p.OmegaMW * p.T))
-    return complex(np.sum(phases * propagator(p)[:, center]))
-
-
-def central_mode_probability(p: ModulatorParams, dm=0) -> float:
-    """|R_{dm,0}|^2: probability to reach offset dm from the central mode."""
-    dm = int(dm)
-    if abs(dm) > p.S:
-        raise ValueError(f"offset dm={dm} outside -S..S for S={p.S}")
-    occ = central_column_sq(p, [p.gamma])[0]
-    return float(occ[occ.size // 2 + dm])
-
-
 def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
     """Restricted |R_{dm,0}| against the Bessel magnitude |J_dm(mu)|.
 
@@ -172,7 +149,7 @@ def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
         raise ValueError(f"offsets {dm_range} exceed |dm| <= S/10 for S={p_large_S.S}")
     occ = central_column_sq(p_large_S, [p_large_S.gamma])[0]
     center = occ.size // 2
-    mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T).mu
+    mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T)
     seq = bessel_j_sequence(max(abs(d) for d in dm_range) if dm_range else 0, mu)
     return [(d, math.sqrt(occ[center + d]), float(abs(seq[abs(d)])))
             for d in dm_range]

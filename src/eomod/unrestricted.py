@@ -8,27 +8,14 @@ need), with the ascending power series as the small-argument path.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .su2 import ModulatorParams
 
 SERIES_X_MAX = 2.0
 MAX_ORDER = 10 ** 6
 CUTOFF_PAD = 30
 SMALL_DETUNE_PHASE = 1e-8
 _RESCALE_LIMIT = 1e200
-
-
-@dataclass(frozen=True)
-class ModulationIndex:
-    """Modulation depth mu together with the inputs that produced it."""
-
-    mu: float
-    omega: float
-    gamma: float
-    T: float
 
 
 def _bessel_series(n, x):
@@ -203,7 +190,7 @@ def _mu(omega, gamma, T):
     return (4.0 * gamma / omega) * math.sin(0.5 * omega * T)
 
 
-def modulation_index(omega, gamma, T) -> ModulationIndex:
+def modulation_index(omega, gamma, T) -> float:
     """mu = (4 gamma / omega) sin(omega T / 2), continued as 2 gamma T at omega=0."""
     omega = float(omega)
     gamma = float(gamma)
@@ -215,11 +202,11 @@ def modulation_index(omega, gamma, T) -> ModulationIndex:
     if not math.isfinite(mu):
         raise ValueError(f"modulation index overflows: gamma={gamma}, omega={omega}, "
                          f"T={T} give mu={mu}")
-    return ModulationIndex(mu=mu, omega=omega, gamma=gamma, T=T)
+    return mu
 
 
 def modulation_index_grid(omega, gammas, T) -> np.ndarray:
-    """``modulation_index(omega, g, T).mu`` for every g of a non-empty array,
+    """``modulation_index(omega, g, T)`` for every g of a non-empty array,
     bit for bit.
 
     |mu| grows with |gamma|, so checking the two extreme couplings as floats
@@ -236,14 +223,14 @@ def default_cutoff(mu) -> int:
     return int(math.ceil(abs(float(mu)))) + CUTOFF_PAD
 
 
-def unrestricted_occupations(mu: ModulationIndex) -> np.ndarray:
+def unrestricted_occupations(mu) -> np.ndarray:
     """Sideband weights J_n(mu)^2 for n = -M..M (ascending).
 
-    The cut is M = default_cutoff(mu.mu); the normalization identity
+    The cut is M = default_cutoff(mu); the normalization identity
     sum J_n^2 = 1 is checked at runtime as the truncation-tail bound.
     """
-    M = default_cutoff(mu.mu)
-    seq = bessel_j_sequence(M, mu.mu)
+    M = default_cutoff(mu)
+    seq = bessel_j_sequence(M, mu)
     weights = np.concatenate([(seq[1:] ** 2)[::-1], seq[:1] ** 2, seq[1:] ** 2])
     total = weights.sum()
     if abs(total - 1.0) > 1e-12:

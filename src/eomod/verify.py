@@ -63,26 +63,26 @@ def check_su2_algebra():
 
 def d_pi_defect(S):
     """Largest deviation of d^S(pi) from the exact anti-diagonal sign matrix."""
-    dpi = wigner.wigner_d_exponential(S, math.pi).entries
+    dpi = wigner.wigner_d_exponential(S, math.pi)
     return float(np.max(np.abs(dpi - wigner._d_pi(round(2 * S)))))
 
 
 def orthogonality_defect(S, theta):
     """Largest entry of d d^T - I for d = d^S(theta)."""
-    D = wigner.wigner_d_exponential(S, theta).entries
+    D = wigner.wigner_d_exponential(S, theta)
     return float(np.max(np.abs(D @ D.T - np.eye(D.shape[0]))))
 
 
 def row_norm_defect(S, theta):
     """Largest distance of a row norm of d^S(theta) from 1."""
-    D = wigner.wigner_d_exponential(S, theta).entries
+    D = wigner.wigner_d_exponential(S, theta)
     return float(np.max(np.abs(np.sum(D * D, axis=1) - 1.0)))
 
 
 def check_wigner_identities():
     worst = 0.0
     for S in (3.0, 3.5):
-        d0 = wigner.wigner_d_exponential(S, 0.0).entries
+        d0 = wigner.wigner_d_exponential(S, 0.0)
         worst = max(worst, np.max(np.abs(d0 - np.eye(d0.shape[0]))),
                     d_pi_defect(S))
         for theta in (0.4, 1.3, 2.8):
@@ -121,7 +121,7 @@ def closed_form_defect(p):
     u = sin 2beta sin Gamma T in [-1, 1]."""
     cf = dynamics.closed_form_angles(p)
     R = dynamics.propagator(p)
-    d = wigner.wigner_d_exponential(p.S, cf.two_beta_tilde).entries
+    d = wigner.wigner_d_exponential(p.S, cf.two_beta_tilde)
     return float(np.max(np.abs(np.abs(R) - np.abs(d))))
 
 
@@ -229,9 +229,9 @@ def check_scan_bounds():
 
 def three_route_defect(S, theta):
     """Largest gap of the factorial and Jacobi d^S(theta) from the exponential route."""
-    de = wigner.wigner_d_exponential(S, theta).entries
-    df = wigner.wigner_d_factorial(S, theta).entries
-    dj = wigner.wigner_d_jacobi(S, theta).entries
+    de = wigner.wigner_d_exponential(S, theta)
+    df = wigner.wigner_d_factorial(S, theta)
+    dj = wigner.wigner_d_jacobi(S, theta)
     return float(max(np.max(np.abs(de - df)), np.max(np.abs(de - dj))))
 
 

@@ -14,6 +14,9 @@ three constructions cross-check each other:
 * ``wigner_d_jacobi`` -- Jacobi-polynomial formula, one recurrence over
   all entries.
 
+Each route returns the float64 (2S+1, 2S+1) array; the exponential route
+also takes an array of angles.
+
 Index convention everywhere: rows and columns ordered dm = -S..S ascending.
 In this convention d^{1/2}(theta) = [[cos(theta/2), sin(theta/2)],
 [-sin(theta/2), cos(theta/2)]], and d(pi) is the anti-diagonal matrix with
@@ -21,7 +24,6 @@ entries (-1)^(S+dm), which is the calibration identity.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,17 +38,6 @@ FACTORIAL_S_MAX = 18
 
 class CapabilityError(RuntimeError):
     """Requested route cannot handle the input size."""
-
-
-@dataclass(frozen=True)
-class WignerMatrix:
-    S: float
-    theta: float
-    entries: np.ndarray
-    method: str
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
 
 
 def jacobi_poly(n, a, b, x):
@@ -126,21 +117,23 @@ def _sy_eigensystem(two_s):
     return lam, X, Y
 
 
-def _d_exponential(two_s, theta):
-    """d(theta) entries from the cached chiral eigensystem.
+def wigner_d_exponential(S, theta) -> np.ndarray:
+    """d^S(theta) = exp(-i (theta/2) F) through the real spectral calculus of F.
 
-    With c = cos(theta lam / 2) and s = sin(theta lam / 2), the four parity
-    blocks of d are X c X^T (even rows and columns), Y c Y^T (odd, odd),
-    X s Y^T (even, odd) and its negative transpose (odd, even): three real
-    half-size products.  ``theta`` may be an array of angles: the result is
-    then the stack of shape ``theta.shape + (n, n)``, each slice equal bit
-    for bit to the scalar call at its angle (the products broadcast over
-    the leading axes, one matrix product per angle).  The stack holds
-    theta.size * n^2 floats and a few half-size temporaries of the same
-    order, so the caller bounds its size (``dynamics.central_column_sq``
-    passes blocks of at most 2^16 entries, or one angle when n^2 exceeds
-    that).
+    The eigensystem of ``_sy_eigensystem`` is cached per spin, so angle
+    scans cost one decomposition total.  With c = cos(theta lam / 2) and
+    s = sin(theta lam / 2), the four parity blocks of d are X c X^T (even
+    rows and columns), Y c Y^T (odd, odd), X s Y^T (even, odd) and its
+    negative transpose (odd, even): three real half-size products.
+    ``theta`` may be an array of angles: the result is then the stack of
+    shape ``theta.shape + (n, n)``, each slice equal bit for bit to the
+    scalar call at its angle (the products broadcast over the leading axes,
+    one matrix product per angle).  The stack holds theta.size * n^2 floats
+    and a few half-size temporaries of the same order, so the caller bounds
+    its size (``dynamics.central_column_sq`` passes blocks of at most 2^16
+    entries, or one angle when n^2 exceeds that).
     """
+    two_s = _check_spin(S)
     lam, X, Y = _sy_eigensystem(two_s)
     half_angles = (0.5 * np.asarray(theta, dtype=float))[..., None, None] * lam
     c = np.cos(half_angles)  # theta.shape + (1, len(lam)): scales the columns
@@ -154,24 +147,12 @@ def _d_exponential(two_s, theta):
     return D
 
 
-def wigner_d_exponential(S, theta) -> WignerMatrix:
-    """d^S(theta) = exp(-i (theta/2) F) through the real spectral calculus of F.
-
-    The eigensystem of ``_sy_eigensystem`` is cached per spin, so angle
-    scans cost one decomposition total; ``_d_exponential`` holds the
-    arithmetic.
-    """
-    two_s = _check_spin(S)
-    return WignerMatrix(S=two_s / 2.0, theta=float(theta),
-                        entries=_d_exponential(two_s, theta), method="exponential")
-
-
 @lru_cache(maxsize=8)
 def _log_factorials(n):
     return tuple(math.lgamma(k + 1) for k in range(n + 1))
 
 
-def wigner_d_factorial(S, theta) -> WignerMatrix:
+def wigner_d_factorial(S, theta) -> np.ndarray:
     """d^S(theta) from the explicit factorial sum (independent oracle route).
 
     Factorials enter as log-gamma values recombined in the exponent, and the
@@ -205,8 +186,7 @@ def wigner_d_factorial(S, theta) -> WignerMatrix:
                         * ch ** (two_s + j - i - 2 * k)
                         * sh ** (i - j + 2 * k))
             D[i, j] = acc
-    return WignerMatrix(S=two_s / 2.0, theta=float(theta), entries=D,
-                        method="factorial-sum")
+    return D
 
 
 def _d_pi(two_s) -> np.ndarray:
@@ -235,7 +215,7 @@ def _d_jacobi_principal(two_s, theta):
             * jacobi_poly(s, mu, nu, math.cos(theta)))
 
 
-def wigner_d_jacobi(S, theta) -> WignerMatrix:
+def wigner_d_jacobi(S, theta) -> np.ndarray:
     """d^S(theta) from the Jacobi-polynomial form of the matrix elements.
 
     The closed formula covers theta in [0, pi]; other angles reduce through
@@ -252,11 +232,8 @@ def wigner_d_jacobi(S, theta) -> WignerMatrix:
         if two_s % 2:
             sign = -1.0
     if t <= math.pi:
-        D = sign * _d_jacobi_principal(two_s, t)
-    else:
-        D = sign * (_d_pi(two_s) @ _d_jacobi_principal(two_s, t - math.pi))
-    return WignerMatrix(S=two_s / 2.0, theta=float(theta), entries=D,
-                        method="jacobi")
+        return sign * _d_jacobi_principal(two_s, t)
+    return sign * (_d_pi(two_s) @ _d_jacobi_principal(two_s, t - math.pi))
 
 
 def jacobi_bessel_limit_check(alpha, beta_param, z, n):

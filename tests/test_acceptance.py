@@ -134,7 +134,7 @@ def test_a9_figure_reproduction(tmp_path):
     p1 = fig_params(2.0)
     occ = mode_occupations(p1, 1.0)
     mu1 = modulation_index(p1.omega, p1.gamma, p1.T)
-    cut = default_cutoff(mu1.mu)
+    cut = default_cutoff(mu1)
     w_u = unrestricted_occupations(mu1)
     fig1_rel = max(abs(occ[3 + dm] - w_u[cut + dm]) / w_u[cut + dm]
                    for dm in (-1, 0, 1))
@@ -146,14 +146,14 @@ def test_a9_figure_reproduction(tmp_path):
     restricted_outside = float(occ2.sum()) - float(
         occ2[abs(mode_offsets(3)) <= 3].sum())
     mu2 = modulation_index(p2.omega, p2.gamma, p2.T)
-    cut2 = default_cutoff(mu2.mu)
+    cut2 = default_cutoff(mu2)
     w2 = unrestricted_occupations(mu2)
     unrestricted_outside = float(w2.sum() - w2[cut2 - 3:cut2 + 4].sum())
 
     # Fig 3/4: near-revival of the restricted curve, decayed Bessel weight
     scan = revival_scan(fig_params(2.0), np.arange(23.0, 27.001, 0.25))
     g_pk, v_pk = find_revival_peak(scan)
-    j0_at_peak = bessel_j(0, modulation_index(0.1, g_pk, TP).mu) ** 2
+    j0_at_peak = bessel_j(0, modulation_index(0.1, g_pk, TP)) ** 2
 
     ok = (fig1_rel < 0.10
           and restricted_outside == 0.0

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,13 +348,40 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("doc", [[1, 2], {"params": [0.1]}, {"filter": 1.0},
                                      {"output": "a.csv"}, {"scan": 5},
-                                     {"gamma_grid": None}])
+                                     {"gamma_grid": None}, {"absolute": "false"},
+                                     {"params": {"period_t": 1}}, {"dm": 1.5},
+                                     {"dm": True}])
     def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         monkeypatch.setenv("EOM_CONFIG", str(cfg))
         assert run(["spectrum"]) == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file_exit2(self, tmp_path, monkeypatch, capsys, name):
+        path = str(tmp_path / name)
+        monkeypatch.setenv("EOM_CONFIG", path)
+        assert run(["spectrum", "--out", str(tmp_path / "a.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid parameters" in err and "EOM_CONFIG" in err and path in err
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_readme_example_loads(self, tmp_path, monkeypatch):
+        # the JSON block of the README, run as documented: its output path
+        # is relative, so it lands in the working directory
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        (tmp_path / "cfg.json").write_text(block)
+        monkeypatch.setenv("EOM_CONFIG", str(tmp_path / "cfg.json"))
+        monkeypatch.chdir(tmp_path)
+        assert run(["spectrum"]) == 0
+        out = tmp_path / doc["output"]["path"]
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["params"]["s"] == doc["params"]["s"]
+        assert manifest["params"]["gamma"] == doc["params"]["gamma"]
+        assert manifest["filter"]["half_width"] == doc["filter"]["half_width"]
 
 
 class TestVerifyCommand:

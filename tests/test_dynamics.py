@@ -11,17 +11,15 @@ from eomod import verify
 from eomod.dynamics import (
     _phase_rate,
     central_column_sq,
-    central_mode_probability,
     closed_form_angles,
     find_revival_peak,
-    mean_field_envelope,
     mode_occupations,
     propagator,
     revival_scan,
 )
 from eomod.su2 import ModulatorParams, mixing_angle, mode_offsets
 from eomod.unrestricted import modulation_index
-from eomod.wigner import _d_exponential, wigner_d_exponential
+from eomod.wigner import wigner_d_exponential
 
 from oracles import rk4_propagator
 
@@ -87,7 +85,7 @@ class TestClosedForm:
             p = params(gamma=gamma)
             R = propagator(p)
             cf = closed_form_angles(p)
-            d = wigner_d_exponential(3, cf.two_beta_tilde).entries
+            d = wigner_d_exponential(3, cf.two_beta_tilde)
             offs = mode_offsets(3)
             cands = [(abs(d[i, j]), i, j) for i in range(7) for j in range(7)
                      if round(offs[i] + offs[j]) == 1]
@@ -127,33 +125,6 @@ class TestModeOccupations:
     def test_half_integer_spin_has_no_central_mode(self):
         with pytest.raises(ValueError):
             mode_occupations(params(S=2.5), 1.0)
-
-
-class TestEnvelope:
-    def test_coupling_off_pure_phase(self):
-        env = mean_field_envelope(params(gamma=0.0))
-        assert abs(env) == pytest.approx(1.0, abs=1e-14)
-
-    def test_large_spin_approaches_classical(self):
-        p = params(S=200, gamma=2.0)
-        env = mean_field_envelope(p)
-        assert abs(env) == pytest.approx(1.0, abs=1e-2)
-        mu = modulation_index(p.omega, p.gamma, p.T).mu
-        target = -mu * math.cos((p.OmegaMW - p.omega / 2) * p.T)
-        diff = (np.angle(env) - target + math.pi) % (2 * math.pi) - math.pi
-        assert abs(diff) < 1e-2
-
-    def test_independent_of_m_tilde(self):
-        # the m_tilde part of the lab-frame phases cancels the carrier phase
-        for gamma in (2.0, 24.25):
-            env0 = mean_field_envelope(params(gamma=gamma))
-            assert abs(mean_field_envelope(params(gamma=gamma, m_tilde=2.0)) - env0) < 1e-12
-
-    def test_restricted_deviates_from_pure_modulation(self):
-        # frozen at first verified build: |envelope| = 1.01505... (not 1)
-        env = mean_field_envelope(params(gamma=24.25))
-        assert abs(env) == pytest.approx(1.0150523841301, abs=1e-9)
-        assert abs(abs(env) - 1.0) > 1e-2
 
 
 class TestCentralColumn:
@@ -196,7 +167,7 @@ class TestCentralColumn:
             occ = central_column_sq(p, grid)
             for g, row in zip(grid.tolist(), occ):
                 ang = mixing_angle(p, g)
-                D = _d_exponential(n - 1, np.array([ang.two_beta]))
+                D = wigner_d_exponential(S, np.array([ang.two_beta]))
                 right = np.exp(_phase_rate(p, ang.Gamma) * np.arange(-c, c + 1.0)) * D[:, c]
                 col = D @ right.view(np.float64).reshape(1, n, 2)
                 assert np.array_equal(row, col[0, :, 0] ** 2 + col[0, :, 1] ** 2)
@@ -275,7 +246,7 @@ class TestRevivalScan:
 
     def test_probability_at_papers_gamma(self):
         # the figure-3 coupling itself sits below the computed peak
-        assert central_mode_probability(params(gamma=24.25)) == pytest.approx(
+        assert mode_occupations(params(gamma=24.25), 1.0)[3] == pytest.approx(
             0.6963997508, abs=1e-9)
 
     def test_peak_refinement_interior(self):
@@ -297,7 +268,7 @@ def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_til
     p = ModulatorParams.from_detuning(S=two_s / 2, Omega=Omega, detune=detune,
                                       gamma=gamma, T=T, m_tilde=m_tilde)
     assume(p.omega != 0.0 or gamma != 0.0)  # mixing angle undefined otherwise
-    mu = modulation_index(p.omega, p.gamma, p.T).mu
+    mu = modulation_index(p.omega, p.gamma, p.T)
     # beyond |mu| = 200 the sideband cut is too small (ROADMAP item 1)
     bessel_ok = abs(mu) <= 200.0
     assert verify.unitarity_defect(p) <= 1e-12

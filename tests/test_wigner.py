@@ -49,12 +49,12 @@ class TestJacobiPoly:
 class TestExponentialRoute:
     def test_identity_at_zero(self):
         for S in (0.5, 2, 3.5):
-            D = wigner_d_exponential(S, 0.0).entries
+            D = wigner_d_exponential(S, 0.0)
             assert np.max(np.abs(D - np.eye(D.shape[0]))) < 1e-14
 
     def test_spin_half_form(self):
         th = 0.9
-        D = wigner_d_exponential(0.5, th).entries
+        D = wigner_d_exponential(0.5, th)
         expected = np.array([[math.cos(th / 2), math.sin(th / 2)],
                              [-math.sin(th / 2), math.cos(th / 2)]])
         assert np.max(np.abs(D - expected)) < 1e-15
@@ -66,7 +66,7 @@ class TestExponentialRoute:
         for S, th in ((1.5, 0.7), (4, 2.1)):
             F = spin_y2(S)
             direct = expm_taylor(-0.5j * th * F)
-            cached = wigner_d_exponential(S, th).entries
+            cached = wigner_d_exponential(S, th)
             assert np.max(np.abs(direct - cached)) < 1e-13
 
     def test_orthogonality_large_spin(self):
@@ -76,9 +76,9 @@ class TestExponentialRoute:
     def test_composition(self):
         a, b = 0.45, 1.17
         for S in (1, 2.5):
-            da = wigner_d_exponential(S, a).entries
-            db = wigner_d_exponential(S, b).entries
-            dab = wigner_d_exponential(S, a + b).entries
+            da = wigner_d_exponential(S, a)
+            db = wigner_d_exponential(S, b)
+            dab = wigner_d_exponential(S, a + b)
             assert np.max(np.abs(da @ db - dab)) < 1e-10
 
     def test_row_normalization(self):
@@ -86,14 +86,16 @@ class TestExponentialRoute:
 
     @pytest.mark.parametrize("S", [3, 3.5])  # with and without the zero mode
     def test_real_entries(self, S):
-        assert wigner_d_exponential(S, 0.77).entries.dtype == np.float64
+        n = round(2 * S) + 1
+        for route in (wigner_d_exponential, wigner_d_factorial, wigner_d_jacobi):
+            D = route(S, 0.77)
+            assert type(D) is np.ndarray and D.dtype == np.float64 and D.shape == (n, n)
         # an array of angles gives the stack of the scalar calls, bit for bit
         thetas = np.array([[0.0, 0.77, math.pi], [-2.5, 1e-300, 40.0]])
-        stack = wigner._d_exponential(round(2 * S), thetas)
-        assert stack.shape == thetas.shape + (round(2 * S) + 1,) * 2
+        stack = wigner_d_exponential(S, thetas)
+        assert stack.shape == thetas.shape + (n, n)
         for idx in np.ndindex(thetas.shape):
-            assert np.array_equal(stack[idx],
-                                  wigner_d_exponential(S, thetas[idx]).entries)
+            assert np.array_equal(stack[idx], wigner_d_exponential(S, thetas[idx]))
 
     def test_broken_pairing_raises(self, monkeypatch):
         def rotated_pair(A):
@@ -114,14 +116,14 @@ class TestExponentialRoute:
 
 class TestFactorialRoute:
     def test_identity_at_zero(self):
-        D = wigner_d_factorial(2, 0.0).entries
+        D = wigner_d_factorial(2, 0.0)
         assert np.max(np.abs(D - np.eye(5))) < 1e-14
 
     def test_s1_center_entry(self):
         # d^1_{0,0}(theta) = cos(theta); zero at pi/2
-        D = wigner_d_factorial(1, math.pi / 2).entries
+        D = wigner_d_factorial(1, math.pi / 2)
         assert abs(D[1, 1]) < 1e-15
-        D = wigner_d_factorial(1, 0.4).entries
+        D = wigner_d_factorial(1, 0.4)
         assert D[1, 1] == pytest.approx(math.cos(0.4), abs=1e-15)
 
     def test_large_spin_guard(self):
@@ -131,8 +133,8 @@ class TestFactorialRoute:
     def test_precision_cap(self):
         # the cap is the largest spin meeting the three-route tolerance
         thetas = np.linspace(0.0, math.pi, 32)[1:-1]
-        worst = max(np.max(np.abs(wigner_d_factorial(FACTORIAL_S_MAX, th).entries
-                                  - wigner_d_exponential(FACTORIAL_S_MAX, th).entries))
+        worst = max(np.max(np.abs(wigner_d_factorial(FACTORIAL_S_MAX, th)
+                                  - wigner_d_exponential(FACTORIAL_S_MAX, th)))
                     for th in thetas)
         assert worst < 1e-10
         with pytest.raises(CapabilityError):
@@ -142,8 +144,8 @@ class TestFactorialRoute:
         rng = np.random.default_rng(8)
         for two_s in (1, 2, 5, 13, 20):
             th = float(rng.uniform(0.01, math.pi - 0.01))
-            de = wigner_d_exponential(two_s / 2, th).entries
-            df = wigner_d_factorial(two_s / 2, th).entries
+            de = wigner_d_exponential(two_s / 2, th)
+            df = wigner_d_factorial(two_s / 2, th)
             assert np.max(np.abs(de - df)) < 1e-10
 
 
@@ -151,24 +153,24 @@ class TestJacobiRoute:
     def test_corner_entry(self):
         # top-weight corner is (cos(theta/2))^(2S)
         for S, th in ((2, 0.8), (3.5, 2.0)):
-            D = wigner_d_jacobi(S, th).entries
+            D = wigner_d_jacobi(S, th)
             assert D[-1, -1] == pytest.approx(
                 math.cos(th / 2) ** round(2 * S), abs=1e-14)
 
     def test_identity_at_zero(self):
-        D = wigner_d_jacobi(3, 0.0).entries
+        D = wigner_d_jacobi(3, 0.0)
         assert np.max(np.abs(D - np.eye(7))) < 1e-14
 
     def test_matches_exponential_s3(self):
-        de = wigner_d_exponential(3, 1.0).entries
-        dj = wigner_d_jacobi(3, 1.0).entries
+        de = wigner_d_exponential(3, 1.0)
+        dj = wigner_d_jacobi(3, 1.0)
         assert np.max(np.abs(de - dj)) < 1e-10
 
     @pytest.mark.parametrize("theta", [-0.7, 2.9, 4.0, 6.9, -5.0, 11.5])
     def test_angle_reduction(self, theta):
         for S in (1.5, 3):
-            de = wigner_d_exponential(S, theta).entries
-            dj = wigner_d_jacobi(S, theta).entries
+            de = wigner_d_exponential(S, theta)
+            dj = wigner_d_jacobi(S, theta)
             assert np.max(np.abs(de - dj)) < 1e-10
 
 
@@ -194,7 +196,7 @@ def test_jacobi_route_matches_entry_formula():
     thetas = [0.0, math.pi, *rng.uniform(0.0, math.pi, size=4)]
     for two_s in range(1, 21):
         for th in thetas:
-            D = wigner_d_jacobi(two_s / 2, th).entries
+            D = wigner_d_jacobi(two_s / 2, th)
             ref = np.array([[_d_entry(two_s, i, j, th) for j in range(two_s + 1)]
                             for i in range(two_s + 1)])
             assert np.max(np.abs(D - ref)) <= 1e-14
