@@ -3,7 +3,6 @@
 from .detection import FilterSpec, SpectralScan, spectral_scan
 from .dynamics import (
     ClosedFormAngles,
-    asymptotic_compare,
     central_column_sq,
     closed_form_angles,
     find_revival_peak,
@@ -24,7 +23,6 @@ from .unrestricted import (
     bessel_j,
     bessel_j_grid,
     bessel_j_sequence,
-    classical_signal_check,
     default_cutoff,
     modulation_index,
     modulation_index_grid,
@@ -32,7 +30,6 @@ from .unrestricted import (
 )
 from .wigner import (
     CapabilityError,
-    jacobi_bessel_limit_check,
     jacobi_poly,
     wigner_d_exponential,
     wigner_d_factorial,

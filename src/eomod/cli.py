@@ -110,12 +110,8 @@ class RunConfig:
 
 
 def _parse_grid(text) -> GridSpec:
-    if isinstance(text, GridSpec):
-        return text
-    if isinstance(text, (tuple, list)):
-        start, stop, step = text
-        return GridSpec(float(start), float(stop), float(step))
-    parts = str(text).split(":")
+    """A (start, stop, step) tuple (defaults, config file) or a flag's string."""
+    parts = text if isinstance(text, tuple) else text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:step, got {text!r}")
     return GridSpec(*(float(p) for p in parts))
@@ -138,13 +134,29 @@ def _load_config_file() -> dict:
             raise ValueError(f"config file entry {key!r} must be an object, "
                              f"got {type(doc[key]).__name__}")
     params = doc.get("params", {})
-    for name, value, kind in (("params.period_t", params.get("period_t"), bool),
-                              ("absolute", doc.get("absolute"), bool),
-                              ("dm", doc.get("dm"), int)):
-        if value is not None and type(value) is not kind:  # True is no int here
-            raise ValueError(f"config file entry {name!r} must be a JSON {kind.__name__} "
-                             f"or null, got {value!r}")
+    number = (int, float, str)  # a numeric string converts where the entry is read
+    entries = [("params.period_t", params.get("period_t"), (bool,)),
+               ("absolute", doc.get("absolute"), (bool,)),
+               ("dm", doc.get("dm"), (int,)),
+               ("output.path", doc.get("output", {}).get("path"), (str,)),
+               ("filter.half_width", doc.get("filter", {}).get("half_width"), number),
+               ("display_unit", doc.get("display_unit"), number)]
+    entries += [(f"params.{key}", params.get(key), number)
+                for key in ("s", "omega", "omega_mw", "detune", "gamma", "t", "m_tilde")]
     flat = {}
+    for key in ("scan", "gamma_grid"):
+        if key in doc:
+            grid = {f"{key}.{part}": doc[key].get(part) for part in ("start", "stop", "step")}
+            if None in grid.values():
+                raise ValueError(f"config file entry {key!r} must be an object with "
+                                 f"start, stop and step")
+            entries += [(name, value, number) for name, value in grid.items()]
+            flat[key] = tuple(grid.values())
+    for name, value, kinds in entries:
+        if value is not None and type(value) not in kinds:  # True is no int here
+            want = "number" if kinds is number else kinds[0].__name__
+            raise ValueError(f"config file entry {name!r} must be a JSON {want}, "
+                             f"got {value!r}")
     for key in ("s", "omega", "omega_mw", "detune", "gamma", "t",
                 "period_t", "m_tilde"):
         if key in params:
@@ -155,12 +167,6 @@ def _load_config_file() -> dict:
         raise ValueError("config file sets both t and period_t")
     if "half_width" in doc.get("filter", {}):
         flat["filter_hw"] = doc["filter"]["half_width"]
-    if "scan" in doc:
-        sc = doc["scan"]
-        flat["scan"] = (sc["start"], sc["stop"], sc["step"])
-    if "gamma_grid" in doc:
-        gg = doc["gamma_grid"]
-        flat["gamma_grid"] = (gg["start"], gg["stop"], gg["step"])
     for key in ("model", "display_unit", "dm", "absolute"):
         if key in doc:
             flat[key] = doc[key]
@@ -195,10 +201,9 @@ def _build_config(merged) -> RunConfig:
         t_val = float(merged["t"])
     else:
         raise ValueError("either t or period_t must be set")
-    if merged.get("omega_mw") is not None:
-        detune = omega - float(merged["omega_mw"])
-    else:
-        detune = float(merged["detune"]) if merged.get("detune") is not None else 0.0
+    # _merge leaves exactly one of detune and omega_mw set
+    detune = (float(merged["detune"]) if merged["omega_mw"] is None
+              else omega - float(merged["omega_mw"]))
     params = ModulatorParams.from_detuning(
         S=float(merged["s"]), Omega=omega, detune=detune,
         gamma=float(merged["gamma"]), T=t_val, m_tilde=float(merged["m_tilde"]))

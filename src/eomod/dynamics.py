@@ -15,6 +15,7 @@ forming R, a block of couplings at a time: one stacked d(2 beta) build and
 one stacked real product per block instead of one Python iteration per
 coupling, with each coupling's arithmetic unchanged.  The full matrix R is
 built only by ``propagator``, for the unitarity and closed-form checks.
+Its large-S limit |R_{dm,0}| -> |J_dm(mu)| is measured in ``eomod.verify``.
 """
 
 import math
@@ -23,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .su2 import ModulatorParams, mixing_angle, mode_offsets
-from .unrestricted import bessel_j_sequence, modulation_index
 from .wigner import wigner_d_exponential
 
 _STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
@@ -134,25 +134,6 @@ def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     if not (n0 >= 0.0 and math.isfinite(n0)):
         raise ValueError(f"input photon number must be >= 0, got {n0}")
     return n0 * central_column_sq(p, [p.gamma])[0]
-
-
-def asymptotic_compare(p_large_S: ModulatorParams, dm_range):
-    """Restricted |R_{dm,0}| against the Bessel magnitude |J_dm(mu)|.
-
-    Valid in the regime |dm| << S with omega != 0; each requested offset
-    must satisfy |dm| <= S/10.  Returns rows (dm, restricted, bessel).
-    """
-    if p_large_S.omega == 0.0:
-        raise ValueError("the Bessel limit formula requires omega != 0")
-    dm_range = [int(d) for d in dm_range]
-    if any(abs(d) > p_large_S.S / 10.0 for d in dm_range):
-        raise ValueError(f"offsets {dm_range} exceed |dm| <= S/10 for S={p_large_S.S}")
-    occ = central_column_sq(p_large_S, [p_large_S.gamma])[0]
-    center = occ.size // 2
-    mu = modulation_index(p_large_S.omega, p_large_S.gamma, p_large_S.T)
-    seq = bessel_j_sequence(max(abs(d) for d in dm_range) if dm_range else 0, mu)
-    return [(d, math.sqrt(occ[center + d]), float(abs(seq[abs(d)])))
-            for d in dm_range]
 
 
 def revival_scan(p_base: ModulatorParams, gamma_grid):

@@ -238,28 +238,3 @@ def unrestricted_occupations(mu) -> np.ndarray:
             f"normalization tail bound violated: sum of weights = {float(total)!r}"
         )
     return weights
-
-
-def classical_signal_check(mu, samples) -> float:
-    """Deviation of the DFT of exp(-i mu cos t) from the Bessel coefficients.
-
-    Samples one period at ``samples`` points (power of two, >= 256), forms
-    the Fourier coefficients with one inverse FFT, and returns the largest
-    |c_n - (-i)^n J_n(mu)| over |n| <= mu + 10.
-    """
-    samples = int(samples)
-    if samples < 256 or samples & (samples - 1):
-        raise ValueError(f"samples must be a power of two >= 256, got {samples}")
-    mu = float(mu)
-    t = 2.0 * math.pi * np.arange(samples) / samples
-    signal = np.exp(-1j * mu * np.cos(t))
-    n_max = int(math.floor(abs(mu))) + 10
-    orders = np.arange(-n_max, n_max + 1)
-    # c_n = (1/N) sum_j f(t_j) e^{+i n t_j}; negative n wrap to N + n.
-    # np.fft is reached here, not imported at module level: numpy loads it
-    # lazily, and a CLI process that never checks this should not pay for it.
-    coeff = np.fft.ifft(signal)[orders % samples]
-    seq = bessel_j_sequence(n_max, mu)
-    parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
-    expected = (-1j) ** orders * parity * seq[np.abs(orders)]
-    return float(np.max(np.abs(coeff - expected)))

@@ -2,12 +2,14 @@
 
 Every invariant's residual is computed here once, by a public per-case
 measure (``*_defect``) that the tests also call on their own samples.
+So do the Bessel-model links (large-S and Jacobi limits, the Fourier
+series of exp(-i mu cos t)): the model layers keep no check-only helper.
 Each check is a zero-argument callable returning ``(tolerance, measured)``,
 the worst measure over the check's fixed sample; it passes when
 ``measured <= tolerance``.  The quick suite covers the algebra, rotation
-identities, unitarity, revivals and Bessel identities in a few
-milliseconds; the full suite adds the three-route Wigner agreement, the
-large-spin Bessel limit and a large random eigensolver round-trip.
+identities, unitarity, revivals and Bessel identities in a few ms; the
+full suite adds the three-route Wigner agreement, the large-spin and
+Jacobi -> Bessel limits and a large random eigensolver round-trip.
 """
 
 import math
@@ -207,9 +209,23 @@ def check_bessel_parity():
                     for n in (1, 2, 7, 30) for x in (0.3, 4.2, 26.0))
 
 
+def classical_fourier_defect(mu, samples):
+    """Largest |c_n - (-i)^n J_n(mu)| over |n| <= mu + 10, c_n the DFT of
+    exp(-i mu cos t) over ``samples`` points of one period."""
+    signal = np.exp(-1j * mu * np.cos(2.0 * math.pi * np.arange(samples) / samples))
+    n_max = int(math.floor(abs(mu))) + 10
+    orders = np.arange(-n_max, n_max + 1)
+    # c_n = (1/N) sum_j f(t_j) e^{+i n t_j}, n < 0 at N + n; numpy loads np.fft lazily
+    coeff = np.fft.ifft(signal)[orders % samples]
+    seq = unrestricted.bessel_j_sequence(n_max, mu)
+    parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
+    expected = (-1j) ** orders * parity * seq[np.abs(orders)]
+    return float(np.max(np.abs(coeff - expected)))
+
+
 def check_classical_fourier():
-    return 1e-10, max(unrestricted.classical_signal_check(1.5, 1024),
-                      unrestricted.classical_signal_check(5.0, 4096))
+    return 1e-10, max(classical_fourier_defect(1.5, 1024),
+                      classical_fourier_defect(5.0, 4096))
 
 
 def scan_bounds_defect(p, half_width, grid):
@@ -247,9 +263,12 @@ def check_wigner_orthogonality_s200():
 
 
 def asymptotic_defect(gamma, S):
-    """Largest | |R_{dm,0}| - |J_dm(mu)| | over dm = -5..5 at this coupling and spin."""
-    table = dynamics.asymptotic_compare(_fig_params(gamma, S=S), range(-5, 6))
-    return max(abs(r - b) for _, r, b in table)
+    """Largest | |R_{dm,0}| - |J_dm(mu)| | over dm = -5..5 at gamma and integer spin S."""
+    p = _fig_params(gamma, S=S)
+    mu = unrestricted.modulation_index(p.omega, p.gamma, p.T)
+    bessel = np.abs(unrestricted.bessel_j_sequence(5, mu))[np.abs(np.arange(-5, 6))]
+    restricted = np.sqrt(dynamics.mode_occupations(p, 1.0)[S - 5:S + 6])
+    return float(np.max(np.abs(restricted - bessel)))
 
 
 def check_asymptotic_limit():
@@ -265,14 +284,16 @@ def check_asymptotic_monotone():
     return 1.1, float(worst_ratio)
 
 
-def jacobi_bessel_defect(alpha, beta_param, z):
-    """Relative gap of the Jacobi -> Bessel limit at degree 500."""
-    lhs, rhs = wigner.jacobi_bessel_limit_check(alpha, beta_param, z, 500)
+def jacobi_bessel_defect(alpha, beta_param, z, n):
+    """Relative gap of n^-alpha P_n^(alpha,beta)(cos(z/n)) from its
+    large-degree limit (z/2)^-alpha J_alpha(z), for an integer alpha."""
+    lhs = n ** -alpha * wigner.jacobi_poly(n, alpha, beta_param, math.cos(z / n))
+    rhs = (0.5 * z) ** (-alpha) * unrestricted.bessel_j(alpha, z)
     return abs(lhs - rhs) / abs(rhs)
 
 
 def check_jacobi_bessel_limit():
-    return 1e-2, max(jacobi_bessel_defect(alpha, beta_param, z)
+    return 1e-2, max(jacobi_bessel_defect(alpha, beta_param, z, 500)
                      for alpha, beta_param, z in ((0, 0.0, 2.0), (1, 0.0, 2.0),
                                                   (2, 1.0, 3.0)))
 

@@ -15,7 +15,8 @@ three constructions cross-check each other:
   all entries.
 
 Each route returns the float64 (2S+1, 2S+1) array; the exponential route
-also takes an array of angles.
+also takes an array of angles.  Only ``su2`` and ``numkernel`` are imported:
+the Jacobi -> Bessel limit of ``jacobi_poly`` is measured in ``eomod.verify``.
 
 Index convention everywhere: rows and columns ordered dm = -S..S ascending.
 In this convention d^{1/2}(theta) = [[cos(theta/2), sin(theta/2)],
@@ -30,7 +31,6 @@ import numpy as np
 
 from .numkernel import hermitian_eigen
 from .su2 import _check_spin, ladder_weights
-from .unrestricted import bessel_j
 
 PAIR_TOL = 1e-12  # |half norm - 1/sqrt(2)| of a +-lam eigenvector pair
 FACTORIAL_S_MAX = 18
@@ -234,23 +234,3 @@ def wigner_d_jacobi(S, theta) -> np.ndarray:
     if t <= math.pi:
         return sign * _d_jacobi_principal(two_s, t)
     return sign * (_d_pi(two_s) @ _d_jacobi_principal(two_s, t - math.pi))
-
-
-def jacobi_bessel_limit_check(alpha, beta_param, z, n):
-    """Evaluate both sides of the large-degree Jacobi -> Bessel limit.
-
-    Returns ``(n^-alpha P_n^(alpha,beta)(cos(z/n)), (z/2)^-alpha J_alpha(z))``;
-    the caller asserts how close they are.
-    """
-    alpha = int(alpha)
-    n = int(n)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if not z > 0.0:
-        raise ValueError(f"z must be positive, got {z}")
-    lhs = float(n) ** (-alpha) * jacobi_poly(n, float(alpha), float(beta_param),
-                                             math.cos(z / n))
-    rhs = (0.5 * z) ** (-alpha) * bessel_j(alpha, z)
-    return lhs, rhs

@@ -350,13 +350,26 @@ class TestConfigFile:
                                      {"output": "a.csv"}, {"scan": 5},
                                      {"gamma_grid": None}, {"absolute": "false"},
                                      {"params": {"period_t": 1}}, {"dm": 1.5},
-                                     {"dm": True}])
-    def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, doc):
+                                     {"dm": True}] + [
+        # the id names the entry the message must name
+        pytest.param({"filter": {"half_width": {"a": 1}}}, id="filter.half_width"),
+        pytest.param({"display_unit": [1]}, id="display_unit"),
+        pytest.param({"scan": {"start": [0], "stop": 1, "step": 0.5}}, id="scan.start"),
+        pytest.param({"params": {"s": True}}, id="params.s"),
+        pytest.param({"output": {"path": ["a.csv"]}}, id="output.path"),
+        pytest.param({"scan": {"start": 0, "step": 0.5}}, id="scan"),
+        pytest.param({"gamma_grid": {"start": 0, "stop": 1, "step": None}},
+                     id="gamma_grid"),
+    ])
+    def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, request, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         monkeypatch.setenv("EOM_CONFIG", str(cfg))
         assert run(["spectrum"]) == 2
-        assert "must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be" in err
+        entry = request.node.callspec.id
+        assert entry.startswith("doc") or f"'{entry}'" in err
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_file_exit2(self, tmp_path, monkeypatch, capsys, name):

@@ -1,5 +1,6 @@
 """Declared dependencies match what the package imports; the test oracles
-import nothing from the package they check."""
+import nothing from the package they check; the su(2) stack and the Bessel
+model import nothing from each other."""
 
 import ast
 import json
@@ -78,3 +79,33 @@ def test_oracles_import_nothing_from_eomod():
         else:
             continue
         assert not any(m.split(".")[0] == "eomod" for m in modules), ast.unparse(node)
+
+
+def eomod_imports(module):
+    """The eomod modules that ``src/eomod/<module>.py`` imports, read from its AST
+    (``import eomod`` itself loads every module, so sys.modules cannot tell)."""
+    tree = ast.parse((SRC / "eomod" / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("eomod" if node.level else None, node.module)))
+            names = ([f"{base}.{alias.name}" for alias in node.names] if base == "eomod"
+                     else [base])
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("eomod."))
+    return found
+
+
+@pytest.mark.parametrize("module", ["su2", "numkernel", "wigner", "dynamics"])
+def test_su2_stack_imports_no_bessel_model(module):
+    # only detection, verify and cli join the two models
+    assert not eomod_imports(module) & {"unrestricted", "detection", "verify", "cli"}
+
+
+def test_bessel_model_imports_no_other_module():
+    assert eomod_imports("unrestricted") == set()
+    # the walk sees both relative import forms
+    assert {"detection", "dynamics", "unrestricted", "wigner"} <= eomod_imports("verify")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from eomod import unrestricted, verify
-from eomod.dynamics import asymptotic_compare
+from eomod.dynamics import mode_occupations
 from eomod.su2 import ModulatorParams
 from eomod.unrestricted import (
     MAX_ORDER,
     bessel_j,
     bessel_j_grid,
     bessel_j_sequence,
-    classical_signal_check,
     default_cutoff,
     modulation_index,
     modulation_index_grid,
@@ -172,11 +171,11 @@ class TestOccupations:
 
 class TestClassicalSignal:
     def test_zero_index(self):
-        assert classical_signal_check(0.0, 256) < 1e-12
+        assert verify.classical_fourier_defect(0.0, 256) < 1e-12
 
     @pytest.mark.parametrize("mu,samples", [(1.5, 1024), (5.0, 4096)])
     def test_modulated(self, mu, samples):
-        assert classical_signal_check(mu, samples) < 1e-10
+        assert verify.classical_fourier_defect(mu, samples) < 1e-10
 
     @pytest.mark.parametrize("mu,samples", [(0.0, 256), (1.5, 1024), (5.0, 4096)])
     def test_fft_matches_direct_sum(self, mu, samples):
@@ -188,23 +187,18 @@ class TestClassicalSignal:
         parity = np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
         expected = (-1j) ** orders * parity * seq[np.abs(orders)]
         direct = np.max(np.abs(coeff - expected))
-        assert abs(classical_signal_check(mu, samples) - direct) <= 1e-14
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            classical_signal_check(1.0, 255)
-        with pytest.raises(ValueError):
-            classical_signal_check(1.0, 300)
+        assert abs(verify.classical_fourier_defect(mu, samples) - direct) <= 1e-14
 
 
 class TestAsymptoticCompare:
     def test_no_coupling(self):
         p = ModulatorParams.from_detuning(S=50, Omega=30.0, detune=0.1,
                                           gamma=0.0, T=TP)
-        for dm, restricted, bessel in asymptotic_compare(p, range(-3, 4)):
-            expected = 1.0 if dm == 0 else 0.0
-            assert restricted == pytest.approx(expected, abs=1e-12)
-            assert bessel == pytest.approx(expected, abs=1e-12)
+        restricted = np.sqrt(mode_occupations(p, 1.0)[50 - 3:50 + 4])
+        bessel = np.abs(bessel_j_sequence(3, modulation_index(0.1, 0.0, TP)))
+        expected = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        assert np.max(np.abs(restricted - expected)) < 1e-12
+        assert np.max(np.abs(bessel - expected[3:])) < 1e-12
 
     def test_moderate_spin_agreement(self):
         assert verify.asymptotic_defect(2.0, 50) < 1e-3
@@ -212,17 +206,7 @@ class TestAsymptoticCompare:
     def test_wide_offset_agreement_large_spin(self):
         p = ModulatorParams.from_detuning(S=200, Omega=30.0, detune=0.1,
                                           gamma=10.0, T=TP)
-        table = asymptotic_compare(p, range(-8, 9))
-        assert max(abs(r - b) for _, r, b in table) < 2e-2
-
-    def test_zero_detuning_rejected(self):
-        p = ModulatorParams.from_detuning(S=50, Omega=30.0, detune=0.0,
-                                          gamma=2.0, T=TP)
-        with pytest.raises(ValueError):
-            asymptotic_compare(p, [0])
-
-    def test_offset_range_guard(self):
-        p = ModulatorParams.from_detuning(S=50, Omega=30.0, detune=0.1,
-                                          gamma=2.0, T=TP)
-        with pytest.raises(ValueError):
-            asymptotic_compare(p, [6])
+        restricted = np.sqrt(mode_occupations(p, 1.0)[200 - 8:200 + 9])
+        seq = np.abs(bessel_j_sequence(8, modulation_index(0.1, 10.0, TP)))
+        bessel = np.concatenate([seq[:0:-1], seq])  # |J_-n| = |J_n|, n = -8..8
+        assert np.max(np.abs(restricted - bessel)) < 2e-2
