@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, verify
+from . import __version__
 from .detection import MODELS, FilterSpec, spectral_scan
 from .dynamics import central_column_sq
 from .su2 import ModulatorParams
@@ -157,6 +157,10 @@ def _load_config_file() -> dict:
             want = "number" if kinds is number else kinds[0].__name__
             raise ValueError(f"config file entry {name!r} must be a JSON {want}, "
                              f"got {value!r}")
+        if type(value) is int and kinds is number and abs(value) > sys.float_info.max:
+            raise ValueError(f"config file entry {name!r} must be a JSON number within "
+                             f"the float range, got an integer of {len(str(abs(value)))} "
+                             f"digits")
     for key in ("s", "omega", "omega_mw", "detune", "gamma", "t",
                 "period_t", "m_tilde"):
         if key in params:
@@ -353,6 +357,8 @@ def cmd_figures(selector, out_dir) -> int:
 
 
 def cmd_verify(level, checks=None) -> int:
+    from . import verify  # only this command needs the check layer
+
     results = verify.run_checks(level, checks=checks)
     sys.stdout.write(verify.format_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eomod import cli, verify
-from eomod.dynamics import propagator
+from eomod import cli, verify, wigner
+from eomod.dynamics import propagator, revival_scan
 from eomod.su2 import ModulatorParams
 
 
@@ -360,6 +360,9 @@ class TestConfigFile:
         pytest.param({"scan": {"start": 0, "step": 0.5}}, id="scan"),
         pytest.param({"gamma_grid": {"start": 0, "stop": 1, "step": None}},
                      id="gamma_grid"),
+        # an integer beyond the float range (json.dumps writes all 401 digits)
+        pytest.param({"params": {"gamma": 10 ** 400}}, id="params.gamma-oversized"),
+        pytest.param({"params": {"s": 10 ** 400}}, id="params.s-oversized"),
     ])
     def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, request, doc):
         cfg = tmp_path / "cfg.json"
@@ -368,7 +371,7 @@ class TestConfigFile:
         assert run(["spectrum"]) == 2
         err = capsys.readouterr().err
         assert "must be" in err
-        entry = request.node.callspec.id
+        entry = request.node.callspec.id.removesuffix("-oversized")
         assert entry.startswith("doc") or f"'{entry}'" in err
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
@@ -421,6 +424,24 @@ class TestVerifyCommand:
 
     def test_unknown_level_rejected(self):
         assert run(["verify", "sloppy"]) == 2
+
+
+def test_no_eigensolve_outside_verify(tmp_path, monkeypatch):
+    # the d-matrix comes from the exact spectrum and a recurrence; LAPACK's
+    # eigh serves only verify, so a fresh eigensystem cache never reaches it
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    wigner._sy_eigensystem.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert run(["spectrum", "--s", "60", "--out", str(tmp_path / "s.csv")]) == 0
+    assert run(["gamma-scan", "--s", "150", "--gamma-grid", "0:60:6",
+                "--out", str(tmp_path / "g.csv")]) == 0
+    for n in range(1, 6):
+        assert run(["figures", str(n), "--out-dir", str(tmp_path)]) == 0
+    p = ModulatorParams.from_detuning(S=20, Omega=30.0, detune=0.1, gamma=0.0,
+                                      T=2 * math.pi / 30.0)
+    assert len(revival_scan(p, [5.0, 10.0, 15.0])) == 3
 
 
 # finite flag values: zeros of both signs, negatives, tiny and huge

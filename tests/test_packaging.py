@@ -68,6 +68,18 @@ def test_cli_import_leaves_numpy_fft_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command needs the check layer; every other one-shot
+    # CLI process skips importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = "import sys, eomod.cli; print('eomod.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_oracles_import_nothing_from_eomod():
     # an oracle built on eomod's own code would check that code against itself
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))

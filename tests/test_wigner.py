@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from eomod import verify, wigner
-from eomod.numkernel import EigenDecomposition
 from eomod.unrestricted import bessel_j
 from eomod.wigner import (
     FACTORIAL_S_MAX,
@@ -98,20 +97,59 @@ class TestExponentialRoute:
             assert np.array_equal(stack[idx], wigner_d_exponential(S, thetas[idx]))
 
     def test_broken_pairing_raises(self, monkeypatch):
-        def rotated_pair(A):
-            # mix the +-lam eigenvectors of the top pair by 45 degrees
-            w, V = np.linalg.eigh(A)
-            lo, hi = V[:, 0].copy(), V[:, -1].copy()
-            V[:, 0], V[:, -1] = (lo + hi) / math.sqrt(2), (hi - lo) / math.sqrt(2)
-            return EigenDecomposition(values=w, vectors=V)
+        recurrence = wigner._sx_eigenvectors
 
-        monkeypatch.setattr(wigner, "hermitian_eigen", rotated_pair)
+        def rotated_pair(two_s):
+            # mix the +-lam eigenvectors of the top pair by 45 degrees; the
+            # -lam partner of (x, y) is (x, -y), its odd rows negated
+            lam, U = recurrence(two_s)
+            hi = U[:, -1].copy()
+            lo = hi * (-1.0) ** np.arange(hi.size)
+            U[:, -1] = (hi - lo) / math.sqrt(2)
+            return lam, U
+
+        monkeypatch.setattr(wigner, "_sx_eigenvectors", rotated_pair)
         wigner._sy_eigensystem.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="pairing"):
                 wigner_d_exponential(3, 0.5)
         finally:
             wigner._sy_eigensystem.cache_clear()
+
+
+class TestRecurrenceEigensystem:
+    @staticmethod
+    def d_from_eigh(F, thetas):
+        w, V = np.linalg.eigh(F)
+        return [(V * np.exp(-0.5j * th * w)) @ V.conj().T for th in thetas]
+
+    @pytest.mark.parametrize("two_s_range", [range(1, 41), (121, 301, 401)],
+                             ids=["2S=1..40", "2S=121,301,401"])
+    def test_matches_eigh_route(self, two_s_range):
+        # the exponential of the oracle's F = 2 S_y through LAPACK's eigh
+        thetas = (0.3, 1.7, 3.0, -2.2)
+        for two_s in two_s_range:
+            expected = self.d_from_eigh(spin_y2(two_s / 2), thetas)
+            for th, ref in zip(thetas, expected):
+                D = wigner_d_exponential(two_s / 2, th)
+                assert np.max(np.abs(D - ref)) < 1e-12, (two_s, th)
+
+    @pytest.mark.parametrize("two_s", [1999, 2000])
+    def test_residual_and_orthonormality_at_s_max(self, two_s):
+        lam, X, Y = wigner._sy_eigensystem(two_s)
+        assert lam.tolist() == list(range(two_s % 2, two_s + 1, 2))
+        # undo the split and the sign fold: U holds eigenvectors of -2 S_x
+        U = np.empty((two_s + 1, lam.size))
+        U[0::2], U[1::2] = X, Y
+        U *= (-1.0) ** ((np.arange(two_s + 1)[:, None] + 1) // 2)
+        f = np.sqrt(np.arange(1, two_s + 1) * (two_s - np.arange(two_s)))
+        AU = np.zeros_like(U)  # -2 S_x U, tridiagonal with rungs f
+        AU[:-1] -= f[:, None] * U[1:]
+        AU[1:] -= f[:, None] * U[:-1]
+        assert np.max(np.abs(AU - U * lam)) < 1e-14 * two_s
+        Y = Y[:, two_s % 2 == 0:]  # integer S: the zero mode has no odd half
+        for half in (X, Y):
+            assert np.max(np.abs(half.T @ half - np.eye(half.shape[1]))) < 1e-13
 
 
 class TestFactorialRoute:
