@@ -1,8 +1,7 @@
 """Electro-optic modulator models: finite-mode su(2) dynamics vs Bessel sidebands."""
 
-from .detection import FilterSpec, SpectralScan, spectral_scan
+from .detection import FilterSpec, spectral_scan
 from .dynamics import (
-    ClosedFormAngles,
     central_column_sq,
     closed_form_angles,
     find_revival_peak,
@@ -25,7 +24,6 @@ from .unrestricted import (
     bessel_j_sequence,
     default_cutoff,
     modulation_index,
-    modulation_index_grid,
     unrestricted_occupations,
 )
 from .wigner import (

@@ -40,7 +40,7 @@ from . import __version__
 from .detection import MODELS, FilterSpec, spectral_scan
 from .dynamics import central_column_sq
 from .su2 import ModulatorParams
-from .unrestricted import bessel_j_grid, modulation_index_grid
+from .unrestricted import bessel_j_grid, modulation_index
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
@@ -117,6 +117,14 @@ def _parse_grid(text) -> GridSpec:
     return GridSpec(*(float(p) for p in parts))
 
 
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_config_file() -> dict:
     path = os.environ.get("EOM_CONFIG", "").strip()
     if not path:
@@ -153,7 +161,9 @@ def _load_config_file() -> dict:
             entries += [(name, value, number) for name, value in grid.items()]
             flat[key] = tuple(grid.values())
     for name, value, kinds in entries:
-        if value is not None and type(value) not in kinds:  # True is no int here
+        if value is not None and (type(value) not in kinds  # True is no int here
+                                  or kinds is number and type(value) is str
+                                  and not _is_float(value)):
             want = "number" if kinds is number else kinds[0].__name__
             raise ValueError(f"config file entry {name!r} must be a JSON {want}, "
                              f"got {value!r}")
@@ -287,17 +297,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         raise ValueError(f"absolute filter offsets overflow: scan edge {edge} x display "
                          f"unit {cfg.display_unit} + carrier {carrier}")
     offsets_abs = offsets_display * cfg.display_unit
-    scan = spectral_scan(cfg.params, cfg.filter, offsets_abs, cfg.model)
+    restricted, unrestricted = spectral_scan(cfg.params, cfg.filter, offsets_abs,
+                                             cfg.model)
     axis_name = "omega_f_absolute" if cfg.absolute else "omega_f_display"
     axis = (cfg.params.omega_opt + offsets_abs) if cfg.absolute else offsets_display
     header = [axis_name]
     columns = [axis]
-    if cfg.model in ("restricted", "both"):
-        header.append("p_rel_restricted")
-        columns.append(scan.restricted)
-    if cfg.model in ("unrestricted", "both"):
-        header.append("p_rel_unrestricted")
-        columns.append(scan.unrestricted)
+    for name, curve in (("p_rel_restricted", restricted),
+                        ("p_rel_unrestricted", unrestricted)):
+        if curve is not None:  # None: the model was not asked for
+            header.append(name)
+            columns.append(curve)
     manifest = _manifest(cfg, "spectrum", {
         "scan": {"start": cfg.scan.start, "stop": cfg.scan.stop,
                  "step": cfg.scan.step},
@@ -308,20 +318,20 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
     dm = int(dm)
-    if abs(dm) > cfg.params.S:
-        raise ValueError(f"|dm|={abs(dm)} exceeds S={cfg.params.S}")
     gg = _parse_grid(gamma_grid)
     grid = gg.values()
     header = ["gamma"]
     columns = [grid]
     if cfg.model in ("restricted", "both"):
+        if abs(dm) > cfg.params.S:  # S bounds only the restricted model's modes
+            raise ValueError(f"|dm|={abs(dm)} exceeds S={cfg.params.S}")
         occ = central_column_sq(cfg.params, grid)
         header.append("p_restricted")
         columns.append(occ[:, occ.shape[1] // 2 + dm])
     if cfg.model in ("unrestricted", "both"):
         p = cfg.params
         header.append("p_unrestricted")
-        columns.append(bessel_j_grid(dm, modulation_index_grid(p.omega, grid, p.T)) ** 2)
+        columns.append(bessel_j_grid(dm, modulation_index(p.omega, grid, p.T)) ** 2)
     manifest = _manifest(cfg, "gamma-scan", {
         "dm": dm,
         "gamma_grid": {"start": gg.start, "stop": gg.stop, "step": gg.step},
@@ -368,11 +378,7 @@ def _numeric_like(value):
     """A '-'-leading value that argparse would take for a flag but is meant
     as a number: '-' then a digit or '.', or a value whose first ':' field
     parses as a float ('-inf', '-nan', '-1e1', '-.5', '-60:60:0.5')."""
-    try:
-        float(value.split(":")[0])
-    except ValueError:
-        return value[1:2].isdigit() or value[1:2] == "."
-    return True
+    return _is_float(value.split(":")[0]) or value[1:2].isdigit() or value[1:2] == "."
 
 
 def _normalize_argv(argv):

@@ -35,21 +35,6 @@ class FilterSpec:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
 
-@dataclass(frozen=True)
-class SpectralScan:
-    """Restricted and unrestricted count-rate curves on a shared grid.
-
-    ``frequencies`` are filter offsets relative to the carrier, in absolute
-    angular-frequency units (display scaling happens at the CLI layer).  A
-    curve the scan was not asked for is None.
-    """
-
-    frequencies: np.ndarray
-    restricted: np.ndarray | None
-    unrestricted: np.ndarray | None
-    params: ModulatorParams
-
-
 def _kernel_sum(weights, spacing, f: FilterSpec, filter_offsets):
     """Filter-weighted sums at each filter offset over the ladder of modes
     spacing * (-c..c), c = weights.size // 2; all offsets carrier-relative.
@@ -74,11 +59,13 @@ def _kernel_sum(weights, spacing, f: FilterSpec, filter_offsets):
     return np.exp(-z * z) @ weights[lo:hi]
 
 
-def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
-                  model="both") -> SpectralScan:
-    """The ``model`` curve(s) over a strictly increasing grid of filter offsets.
+def spectral_scan(p: ModulatorParams, f: FilterSpec, grid, model="both"):
+    """The pair (restricted, unrestricted) of count-rate curves over a
+    strictly increasing grid of filter offsets.
 
-    ``model`` is one of MODELS.  Only the requested curves are computed, so
+    The offsets are relative to the carrier, in absolute angular-frequency
+    units (display scaling happens at the CLI layer).  ``model`` is one of
+    MODELS; a curve it does not ask for is None and is not computed, so
     parameters that only one model rejects fail only that model's scan.
     Scan points are independent of each other; results follow grid order.
     """
@@ -90,12 +77,10 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid,
     if not np.all(grid[1:] > grid[:-1]):  # NaN fails too; no difference can overflow
         raise ValueError("scan grid must be strictly increasing")
 
-    restricted = unrestricted_curve = None
+    restricted = unrestricted = None
     if model != "unrestricted":
         restricted = _kernel_sum(mode_occupations(p, 1.0), p.Omega, f, grid)
     if model != "restricted":
         weights = unrestricted_occupations(modulation_index(p.omega, p.gamma, p.T))
-        unrestricted_curve = _kernel_sum(weights, p.Omega, f, grid)
-
-    return SpectralScan(frequencies=grid, restricted=restricted,
-                        unrestricted=unrestricted_curve, params=p)
+        unrestricted = _kernel_sum(weights, p.Omega, f, grid)
+    return restricted, unrestricted

@@ -19,7 +19,6 @@ Its large-S limit |R_{dm,0}| -> |J_dm(mu)| is measured in ``eomod.verify``.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .su2 import ModulatorParams, mixing_angle, mode_offsets
 from .wigner import wigner_d_exponential
 
 _STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
-
-
-class ClosedFormAngles(NamedTuple):
-    two_beta_tilde: float
-    sin_product: float
 
 
 def _central_index(p: ModulatorParams) -> int:
@@ -115,7 +109,7 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
     return out
 
 
-def closed_form_angles(p: ModulatorParams) -> ClosedFormAngles:
+def closed_form_angles(p: ModulatorParams) -> float:
     """The composed rotation angle 2*beta_tilde controlling |R|.
 
     sin(2 beta_tilde) = 2 u sqrt(1 - u^2) with u = sin(2 beta) sin(Gamma T),
@@ -124,8 +118,7 @@ def closed_form_angles(p: ModulatorParams) -> ClosedFormAngles:
     """
     ang = mixing_angle(p)
     u = (ang.g_eff / ang.Gamma) * math.sin(ang.Gamma * p.T)
-    u = min(1.0, max(-1.0, u))
-    return ClosedFormAngles(two_beta_tilde=2.0 * math.asin(u), sin_product=u)
+    return 2.0 * math.asin(min(1.0, max(-1.0, u)))
 
 
 def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:

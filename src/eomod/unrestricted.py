@@ -179,43 +179,36 @@ def bessel_j_grid(n, x) -> np.ndarray:
     return out
 
 
-def _mu(omega, gamma, T):
-    """(4 gamma / omega) sin(omega T / 2), or 2 gamma T below SMALL_DETUNE_PHASE.
+def modulation_index(omega, gamma, T):
+    """mu = (4 gamma / omega) sin(omega T / 2), continued as 2 gamma T at omega=0.
 
-    ``gamma`` is a float or an array; each element gets the arithmetic of a
-    float, since the sine is one float factor.
+    ``gamma`` is a float (mu is a float) or a non-empty 1-d array of
+    couplings (mu is the array, each element bit for bit the float call's,
+    since the sine is one float factor).  |mu| grows with |gamma|, so the
+    extreme couplings are checked as floats, and a grid that would overflow
+    is refused before any array arithmetic runs.
     """
-    if abs(omega) * T < SMALL_DETUNE_PHASE:
-        return 2.0 * gamma * T
-    return (4.0 * gamma / omega) * math.sin(0.5 * omega * T)
-
-
-def modulation_index(omega, gamma, T) -> float:
-    """mu = (4 gamma / omega) sin(omega T / 2), continued as 2 gamma T at omega=0."""
-    omega = float(omega)
-    gamma = float(gamma)
-    T = float(T)
-    for name, v in (("omega", omega), ("gamma", gamma), ("T", T)):
+    omega, T = float(omega), float(T)
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim > 1 or gammas.size == 0:
+        raise ValueError(f"gamma must be a float or a non-empty 1-d array, got shape "
+                         f"{gammas.shape}")
+    extremes = (float(gammas.min()), float(gammas.max()))  # NaN anywhere gives NaN
+    for name, v in (("omega", omega), ("gamma", extremes[0]), ("gamma", extremes[1]),
+                    ("T", T)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    mu = _mu(omega, gamma, T)
-    if not math.isfinite(mu):
-        raise ValueError(f"modulation index overflows: gamma={gamma}, omega={omega}, "
-                         f"T={T} give mu={mu}")
-    return mu
 
+    def mu(g):
+        if abs(omega) * T < SMALL_DETUNE_PHASE:
+            return 2.0 * g * T
+        return (4.0 * g / omega) * math.sin(0.5 * omega * T)
 
-def modulation_index_grid(omega, gammas, T) -> np.ndarray:
-    """``modulation_index(omega, g, T)`` for every g of a non-empty array,
-    bit for bit.
-
-    |mu| grows with |gamma|, so checking the two extreme couplings as floats
-    refuses a grid that would overflow before any array arithmetic runs.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    for g in (float(gammas.min()), float(gammas.max())):
-        modulation_index(omega, g, T)
-    return _mu(float(omega), gammas, float(T))
+    for g in extremes:
+        if not math.isfinite(mu(g)):
+            raise ValueError(f"modulation index overflows: gamma={g}, omega={omega}, "
+                             f"T={T} give mu={mu(g)}")
+    return mu(extremes[0]) if gammas.ndim == 0 else mu(gammas)
 
 
 def default_cutoff(mu) -> int:

@@ -121,9 +121,8 @@ def check_exact_revival():
 def closed_form_defect(p):
     """Largest | |R| - |d(2 beta~)| | entry; the identity holds for every
     u = sin 2beta sin Gamma T in [-1, 1]."""
-    cf = dynamics.closed_form_angles(p)
     R = dynamics.propagator(p)
-    d = wigner.wigner_d_exponential(p.S, cf.two_beta_tilde)
+    d = wigner.wigner_d_exponential(p.S, dynamics.closed_form_angles(p))
     return float(np.max(np.abs(np.abs(R) - np.abs(d))))
 
 
@@ -230,9 +229,8 @@ def check_classical_fourier():
 
 def scan_bounds_defect(p, half_width, grid):
     """How far either model's p_rel leaves [0, 1] over a grid of filter offsets."""
-    sc = spectral_scan(p, FilterSpec(half_width=half_width), grid)
     worst = 0.0
-    for curve in (sc.restricted, sc.unrestricted):
+    for curve in spectral_scan(p, FilterSpec(half_width=half_width), grid):
         worst = max(worst, float(np.max(curve - 1.0)), float(np.max(-curve)))
     return worst
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eomod import cli, verify, wigner
 from eomod.dynamics import propagator, revival_scan
 from eomod.su2 import ModulatorParams
+from eomod.unrestricted import bessel_j, modulation_index
 
 
 def run(argv, capsys=None):
@@ -222,6 +223,17 @@ class TestGammaScan:
     def test_dm_out_of_range_exit2(self):
         assert run(["gamma-scan", "--dm", "4", "--gamma-grid", "0:1:1"]) == 2
 
+    def test_unrestricted_dm_beyond_spin(self, tmp_path):
+        # S bounds only the restricted model's modes
+        out = tmp_path / "g.csv"
+        assert run(["gamma-scan", "--model", "unrestricted", "--dm", "5",
+                    "--gamma-grid", "0:2:1", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["gamma", "p_unrestricted"]
+        expected = [bessel_j(5, modulation_index(0.1, g, 2 * math.pi / 30)) ** 2
+                    for g in (0.0, 1.0, 2.0)]
+        assert rows[:, 1] == pytest.approx(expected, rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("dm", [-2, 1])
     def test_restricted_column_reads_offset_dm(self, tmp_path, dm):
         # the column route against the entry R_{dm,0} of the full propagator
@@ -363,6 +375,9 @@ class TestConfigFile:
         # an integer beyond the float range (json.dumps writes all 401 digits)
         pytest.param({"params": {"gamma": 10 ** 400}}, id="params.gamma-oversized"),
         pytest.param({"params": {"s": 10 ** 400}}, id="params.s-oversized"),
+        # a string where a number goes must convert to a float
+        pytest.param({"params": {"gamma": "two"}}, id="params.gamma-string"),
+        pytest.param({"display_unit": "abc"}, id="display_unit-string"),
     ])
     def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, request, doc):
         cfg = tmp_path / "cfg.json"
@@ -371,8 +386,22 @@ class TestConfigFile:
         assert run(["spectrum"]) == 2
         err = capsys.readouterr().err
         assert "must be" in err
-        entry = request.node.callspec.id.removesuffix("-oversized")
+        entry = request.node.callspec.id.split("-")[0]  # drop the case suffix
         assert entry.startswith("doc") or f"'{entry}'" in err
+
+    def test_numeric_string_entries(self, tmp_path, monkeypatch, capsys):
+        # a string that converts is read as its number; "1e400" then meets
+        # the parameter checks like the float it converts to
+        cfg = tmp_path / "cfg.json"
+        monkeypatch.setenv("EOM_CONFIG", str(cfg))
+        cfg.write_text(json.dumps({"params": {"gamma": "10"}}))
+        out = tmp_path / "a.csv"
+        assert run(["spectrum", "--scan=0:1:1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["params"]["gamma"] == 10.0
+        cfg.write_text(json.dumps({"params": {"gamma": "1e400"}}))
+        assert run(["spectrum", "--scan=0:1:1"]) == 2
+        assert "config file entry" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_unreadable_file_exit2(self, tmp_path, monkeypatch, capsys, name):

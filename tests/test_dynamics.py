@@ -61,18 +61,17 @@ class TestPropagator:
 
 class TestClosedForm:
     def test_zero_product(self):
-        cf = closed_form_angles(params(gamma=0.0))
-        assert cf.sin_product == pytest.approx(0.0, abs=1e-15)
-        assert cf.two_beta_tilde == pytest.approx(0.0, abs=1e-15)
+        assert closed_form_angles(params(gamma=0.0)) == pytest.approx(0.0, abs=1e-15)
         R = propagator(params(gamma=0.0))
         assert np.max(np.abs(np.abs(R) - np.eye(7))) < 1e-12
 
     def test_saturated_product(self):
         # resonant with Gamma*T = pi/2 gives u = 1 and the full flip angle
         p = params(detune=0.0, gamma=30 * 7 / 8)
-        cf = closed_form_angles(p)
-        assert cf.sin_product == pytest.approx(1.0, abs=1e-12)
-        assert cf.two_beta_tilde == pytest.approx(math.pi, abs=1e-6)
+        two_beta_tilde = closed_form_angles(p)
+        assert type(two_beta_tilde) is float
+        assert math.sin(0.5 * two_beta_tilde) == pytest.approx(1.0, abs=1e-12)
+        assert two_beta_tilde == pytest.approx(math.pi, abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [2.0, 10.0])
     def test_magnitude_identity(self, gamma):
@@ -84,8 +83,7 @@ class TestClosedForm:
         for gamma in (2.0, 10.0, 24.25):
             p = params(gamma=gamma)
             R = propagator(p)
-            cf = closed_form_angles(p)
-            d = wigner_d_exponential(3, cf.two_beta_tilde)
+            d = wigner_d_exponential(3, closed_form_angles(p))
             offs = mode_offsets(3)
             cands = [(abs(d[i, j]), i, j) for i in range(7) for j in range(7)
                      if round(offs[i] + offs[j]) == 1]
@@ -135,7 +133,7 @@ class TestCentralColumn:
                         gamma=rng.uniform(0.0, 80.0), T=rng.uniform(0.0, 1.0))
                  for _ in range(40)]
         cases.append(params(S=150, detune=0.1, gamma=37.0))
-        signs = {closed_form_angles(p).sin_product > 0.0 for p in cases}
+        signs = {closed_form_angles(p) > 0.0 for p in cases}  # the sign of u
         assert signs == {False, True}
         worst = 0.0
         for p in cases:

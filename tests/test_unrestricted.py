@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from eomod.unrestricted import (
     bessel_j_sequence,
     default_cutoff,
     modulation_index,
-    modulation_index_grid,
     unrestricted_occupations,
 )
 
@@ -140,15 +140,18 @@ class TestModulationIndex:
     def test_grid_equals_scalar_bitwise(self, omega):
         gammas = np.concatenate([np.arange(-5.0, 60.001, 0.25), [1e-300, 7e300]])
         expected = [modulation_index(omega, g, TP) for g in gammas.tolist()]
-        assert np.array_equal(_bits(modulation_index_grid(omega, gammas, TP)),
-                              _bits(expected))
+        assert np.array_equal(_bits(modulation_index(omega, gammas, TP)), _bits(expected))
 
     def test_grid_guards(self):
         # the extremes are checked as floats, so an overflowing grid raises
         # before any array arithmetic could warn
-        for bad in ([0.0, 1e308], [-1e308, 0.0], [1.0, math.nan], []):
-            with pytest.raises(ValueError):
-                modulation_index_grid(0.1, bad, TP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad, match in (([0.0, 1e308], "overflows"), ([-1e308, 0.0], "overflows"),
+                               ([1.0, math.nan], "gamma must be finite, got nan"),
+                               ([], "non-empty"), ([[1.0]], "1-d")):
+                with pytest.raises(ValueError, match=match):
+                    modulation_index(0.1, np.array(bad), TP)
 
 
 class TestOccupations:
