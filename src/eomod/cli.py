@@ -230,8 +230,8 @@ def _build_config(merged) -> RunConfig:
     display_unit = merged.get("display_unit")
     display_unit = (omega / DISPLAY_DENOM if display_unit is None
                     else float(display_unit))
-    if not display_unit > 0.0:
-        raise ValueError(f"display_unit must be positive, got {display_unit}")
+    if not (display_unit > 0.0 and math.isfinite(display_unit)):
+        raise ValueError(f"display_unit must be positive and finite, got {display_unit}")
     return RunConfig(params=params,
                      filter=FilterSpec(half_width=float(merged["filter_hw"])),
                      scan=_parse_grid(merged["scan"]),

@@ -32,7 +32,7 @@ class FilterSpec:
 
     def __post_init__(self):
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
 
 def _kernel_sum(weights, spacing, f: FilterSpec, filter_offsets):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .su2 import ModulatorParams, mixing_angle, mode_offsets
+from .su2 import ModulatorParams, _check_spin, _spin_ladder, mixing_angle
 from .wigner import wigner_d_exponential
 
 _STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
@@ -54,7 +54,8 @@ def propagator(p: ModulatorParams) -> np.ndarray:
     ``R[i, j]`` is R_{dm_i, dp_j} with offsets ascending.
     """
     ang = mixing_angle(p)
-    eigenphases = np.exp(_phase_rate(p, ang.Gamma) * mode_offsets(p.S))
+    offsets = _spin_ladder(_check_spin(p.S))[0]
+    eigenphases = np.exp(_phase_rate(p, ang.Gamma) * offsets)
     D = wigner_d_exponential(p.S, ang.two_beta)
     # R = D (e o D^T), one real product: e o D^T read as float64 (re, im) pairs
     right = np.multiply(eigenphases[:, None], D.T, order="C")
@@ -125,7 +126,7 @@ def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     """Mean photon numbers n0 |R_{dm,0}|^2 for a centrally excited input."""
     n0 = float(n0)
     if not (n0 >= 0.0 and math.isfinite(n0)):
-        raise ValueError(f"input photon number must be >= 0, got {n0}")
+        raise ValueError(f"input photon number must be >= 0 and finite, got {n0}")
     return n0 * central_column_sq(p, [p.gamma])[0]
 
 

@@ -9,6 +9,7 @@ real linear algebra.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +30,24 @@ def _check_spin(S):
     return round(two_s)
 
 
+@lru_cache(maxsize=64)
+def _spin_ladder(two_s):
+    """Read-only mode offsets and rung weights of spin two_s / 2, built once.
+
+    Shared by every caller in the process, so the arrays are frozen; the
+    public ``mode_offsets`` and ``ladder_weights`` hand out copies.
+    """
+    offsets = np.arange(two_s + 1) - two_s / 2.0
+    S, dm = two_s / 2.0, offsets[:-1]
+    weights = np.sqrt((S + 1.0 + dm) * (S - dm))
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
+
+
 def mode_offsets(S) -> np.ndarray:
     """The ladder of mode offsets -S, -S+1, ..., S (ascending)."""
-    two_s = _check_spin(S)
-    return np.arange(two_s + 1) - two_s / 2.0
+    return _spin_ladder(_check_spin(S))[0].copy()
 
 
 @dataclass(frozen=True)
@@ -64,9 +79,9 @@ class ModulatorParams:
         if not (self.Omega > 0.0 and math.isfinite(self.Omega)):
             raise ValueError(f"Omega must be positive and finite, got {self.Omega}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be non-negative, got {self.T}")
+            raise ValueError(f"T must be non-negative and finite, got {self.T}")
         if not (math.isfinite(self.omega) and math.isfinite(self.OmegaMW)):
             raise ValueError(f"detuning and OmegaMW must be finite, got omega={self.omega}, "
                              f"OmegaMW={self.OmegaMW}")
@@ -109,8 +124,7 @@ def ladder_weights(S) -> np.ndarray:
     A+ carries f(dm) from mode dm up to dm+1 and A- = (A+)^T carries it
     back, which makes A0 = diag(dm), A+ and A- su(2) generators.
     """
-    dm = mode_offsets(S)[:-1]
-    return np.sqrt((float(S) + 1.0 + dm) * (float(S) - dm))
+    return _spin_ladder(_check_spin(S))[1].copy()
 
 
 def mixing_angle(p: ModulatorParams, gamma=None) -> MixingAngle:
@@ -138,7 +152,13 @@ def quasi_energy_matrix(p: ModulatorParams) -> np.ndarray:
     Real symmetric tridiagonal (float64); its spectrum is the equidistant
     ladder omega*m_tilde + 2*Gamma*k, k = -S..S.
     """
-    f = ladder_weights(p.S)
-    g_eff = 2.0 * p.gamma / p.n_modes
-    return (np.diag(p.omega * p.m_tilde + p.omega * mode_offsets(p.S))
-            + g_eff * (np.diag(f, 1) + np.diag(f, -1)))
+    offsets, f = _spin_ladder(_check_spin(p.S))
+    n = offsets.size
+    g_eff = 2.0 * p.gamma / n
+    Q = np.zeros((n, n))
+    flat = Q.reshape(-1)  # a view; a step of n + 1 walks along a diagonal
+    # g_eff * 0.0 is the coupling term's zero on the diagonal: with it a -0.0
+    # entry (negative detuning) reads +0.0, as in the sum of the two matrices
+    flat[::n + 1] = p.omega * p.m_tilde + p.omega * offsets + g_eff * 0.0
+    flat[1::n + 1] = flat[n::n + 1] = g_eff * f
+    return Q

@@ -118,26 +118,42 @@ def _check_argument(x_abs):
                          f"MAX_ORDER = {MAX_ORDER}")
 
 
+def _checked_call(order, x) -> float:
+    """The argument x as a float, after refusing an order outside
+    [0, MAX_ORDER] or an x that is not finite or needs too long a cut."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"nmax must be in [0, {MAX_ORDER}], got {order}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x}")
+    _check_argument(abs(x))
+    return x
+
+
 def bessel_j(n, x) -> float:
     """Bessel function of the first kind, integer order.
 
     ``J_{-n}(x) = (-1)^n J_n(x)`` holds exactly (same float, flipped sign);
     relative accuracy is ~1e-14 throughout the tested range |x| <= 100.
+    Equal bit for bit to ``bessel_j_sequence(|n|, x)[|n|]`` with that sign:
+    below SERIES_X_MAX only the order-|n| series runs.
     """
     n = int(n)
-    val = float(bessel_j_sequence(abs(n), x)[abs(n)])
-    return -val if n < 0 and n % 2 else val
+    order = abs(n)
+    x = _checked_call(order, x)
+    ax = abs(x)
+    if ax < SERIES_X_MAX:
+        val = _bessel_series(order, ax)
+    else:
+        val = float(_bessel_miller(order, ax)[order])
+    # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n; both flips cancel exactly
+    return -val if order % 2 and (x < 0.0) != (n < 0) else val
 
 
 def bessel_j_sequence(nmax, x) -> np.ndarray:
     """J_0(x) .. J_nmax(x) in one pass (negative orders follow by parity)."""
     nmax = int(nmax)
-    if not 0 <= nmax <= MAX_ORDER:
-        raise ValueError(f"nmax must be in [0, {MAX_ORDER}], got {nmax}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    _check_argument(abs(x))
+    x = _checked_call(nmax, x)
     if abs(x) < SERIES_X_MAX:
         vals = np.array([_bessel_series(n, abs(x)) for n in range(nmax + 1)])
     else:

@@ -86,6 +86,13 @@ class TestSpectrum:
                                          capsys.readouterr().err)
         assert rc_space == 2 and "invalid parameters" in err_space
 
+    @pytest.mark.parametrize("flag,value", [("--gamma", "inf"), ("--gamma", "1e400"),
+                                            ("--t", "inf"), ("--filter-hw", "inf"),
+                                            ("--display-unit", "inf")])
+    def test_non_finite_input_named(self, capsys, flag, value):
+        assert run(["spectrum", "--scan=0:1:1", flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_reference_invocation_line(self, tmp_path):
         # the documented full command line for the gamma=2 dataset
         out = tmp_path / "fig1.csv"

@@ -119,6 +119,8 @@ class TestModeOccupations:
     def test_negative_photon_number(self):
         with pytest.raises(ValueError):
             mode_occupations(params(), -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            mode_occupations(params(), math.inf)
 
     def test_half_integer_spin_has_no_central_mode(self):
         with pytest.raises(ValueError):

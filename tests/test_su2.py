@@ -58,6 +58,14 @@ class TestGenerators:
             aplus = np.diag(ladder_weights(S), -1)
             assert np.array_equal(spin_y2(S), 1j * (aplus.T - aplus))
 
+    def test_returned_arrays_are_fresh(self):
+        # the per-spin arrays are cached; callers get copies they may write to
+        for get in (mode_offsets, ladder_weights):
+            first = get(3)
+            expected = first.copy()
+            first[:] = 7.0
+            assert np.array_equal(get(3), expected)
+
     def test_invalid_spin(self):
         with pytest.raises(ValueError):
             ladder_weights(0.3)
@@ -132,6 +140,21 @@ class TestQuasiEnergy:
         expected = np.diag(p.omega * (2.0 + mode_offsets(3)))
         assert Q.dtype == np.float64
         assert np.max(np.abs(Q - expected)) < 1e-15
+
+    def test_equals_sum_of_diagonals_bitwise(self):
+        rng = np.random.default_rng(19)
+        cases = [params(detune=-0.1)]  # omega * 0.0 is -0.0 on the dm = 0 diagonal
+        cases += [params(S=float(rng.choice([0.5, 1, 2.5, 3, 5])),
+                         detune=rng.uniform(-2, 2), gamma=rng.uniform(0, 20),
+                         m_tilde=float(rng.integers(0, 3))) for _ in range(40)]
+        for p in cases:
+            f = ladder_weights(p.S)
+            g_eff = 2.0 * p.gamma / p.n_modes
+            expected = (np.diag(p.omega * p.m_tilde + p.omega * mode_offsets(p.S))
+                        + g_eff * (np.diag(f, 1) + np.diag(f, -1)))
+            Q = quasi_energy_matrix(p)
+            assert np.array_equal(Q.view(np.int64), expected.view(np.int64))
+        assert math.copysign(1.0, quasi_energy_matrix(cases[0])[3, 3]) == 1.0
 
     def test_spin_half_resonant(self):
         p = params(S=0.5, detune=0.0, gamma=1.3)

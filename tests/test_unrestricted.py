@@ -57,6 +57,14 @@ class TestBessel:
                 assert bessel_j(n, x) == pytest.approx(bessel_series(n, x),
                                                        rel=1e-12, abs=1e-16)
 
+    @pytest.mark.parametrize("n", [-61, -7, -2, 0, 1, 30, 60])
+    def test_one_order_equals_sequence_bitwise(self, n):
+        # below |x| = 2 bessel_j runs only the order-|n| series
+        for x in (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.999, -1.999):
+            seq = bessel_j_sequence(abs(n), x)[abs(n)]
+            expected = -seq if n < 0 and n % 2 else seq
+            assert _bits(bessel_j(n, x)) == _bits(expected)
+
     def test_huge_order_guard(self):
         with pytest.raises(ValueError):
             bessel_j(10 ** 6 + 1, 1.0)

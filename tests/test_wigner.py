@@ -83,18 +83,24 @@ class TestExponentialRoute:
     def test_row_normalization(self):
         assert verify.row_norm_defect(3, 1.3) < 1e-12
 
-    @pytest.mark.parametrize("S", [3, 3.5])  # with and without the zero mode
+    # with and without the zero mode, up to the spins of the large-S scans
+    @pytest.mark.parametrize("S", [0.5, 1, 3, 3.5, 60, 150])
     def test_real_entries(self, S):
         n = round(2 * S) + 1
-        for route in (wigner_d_exponential, wigner_d_factorial, wigner_d_jacobi):
+        slow_routes = (wigner_d_factorial, wigner_d_jacobi) if S <= FACTORIAL_S_MAX else ()
+        for route in (wigner_d_exponential, *slow_routes):
             D = route(S, 0.77)
             assert type(D) is np.ndarray and D.dtype == np.float64 and D.shape == (n, n)
-        # an array of angles gives the stack of the scalar calls, bit for bit
+        # an array of angles gives the stack of the one-angle calls, bit for bit;
+        # a float (numpy's float64 too) or an int takes the one-angle path, a
+        # 0-d array the stacked one
         thetas = np.array([[0.0, 0.77, math.pi], [-2.5, 1e-300, 40.0]])
         stack = wigner_d_exponential(S, thetas)
         assert stack.shape == thetas.shape + (n, n)
         for idx in np.ndindex(thetas.shape):
-            assert np.array_equal(stack[idx], wigner_d_exponential(S, thetas[idx]))
+            for theta in (thetas[idx], float(thetas[idx]), np.asarray(thetas[idx])):
+                assert np.array_equal(stack[idx], wigner_d_exponential(S, theta))
+        assert np.array_equal(stack[0, 0], wigner_d_exponential(S, 0))
 
     def test_broken_pairing_raises(self, monkeypatch):
         recurrence = wigner._sx_eigenvectors
