@@ -6,16 +6,16 @@ spectral sum
     R = d(2 beta) diag(exp(-i dk 2 Gamma T)) d(2 beta)^T,
 
 which equals exp(-i Q T) for the single-photon quasi-energy matrix Q, up to
-the global phase exp(-i omega m_tilde T).  The d-matrix is real, so R is
-one real matrix product with the complex factor diag(...) d^T read as
-interleaved (re, im) float64 columns.  Every counting observable reads
-only |R_{dm,0}|^2, one column, since the photon enters the central mode:
-``central_column_sq`` computes it over a whole coupling grid without
-forming R, a block of couplings at a time: one stacked d(2 beta) build and
-one stacked real product per block instead of one Python iteration per
-coupling, with each coupling's arithmetic unchanged.  The full matrix R is
-built only by ``propagator``, for the unitarity and closed-form checks.
-Its large-S limit |R_{dm,0}| -> |J_dm(mu)| is measured in ``eomod.verify``.
+the global phase exp(-i omega m_tilde T).  ``propagator`` builds it as one
+real matrix product, the complex factor diag(...) d^T read as interleaved
+(re, im) float64 columns.  Every counting observable reads only
+|R_{dm,0}|^2, one column, since the photon enters the central mode, and the
+su(2) algebra gives the magnitudes in closed form: |R| = |d(2 beta_tilde)|
+entrywise, with the composed angle of ``closed_form_angles``.
+``central_column_sq`` squares column c of that real d-matrix over a whole
+coupling grid, so the spectral sum serves only ``eomod.verify``, which
+checks the two routes against each other and measures the large-S limit
+|R_{dm,0}| -> |J_dm(mu)|.
 """
 
 import math
@@ -63,63 +63,66 @@ def propagator(p: ModulatorParams) -> np.ndarray:
 
 
 def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
-    """|R_{dm,0}|^2 over a grid of couplings, a (G, 2S+1) array.
+    """|R_{dm,0}|^2 = d^S_{dm,0}(2 beta_tilde)^2 over a grid of couplings.
 
-    Row g holds the occupations at coupling ``gammas[g]``, the other
-    parameters taken from ``p``, offsets ascending; a row does not depend
-    on the rest of the grid, bit for bit.  The grid is checked before any
-    matrix is built, through its extremes as Python floats: the smallest
-    coupling for sign, NaN and omega = gamma = 0, the largest for an
-    overflowing eigenphase.  The angles and Gamma then take mixing_angle's
-    math.atan2/math.hypot per coupling, in one list comprehension each
-    (numpy's versions differ in the last bits).  Per coupling,
-    d(2 beta) is built from the cached eigensystem and the central column
-    R[:, c] = d (e o d[c, :]) is one real (n x 2) product on the
-    interleaved complex vector, so R is never formed.  Couplings go in
-    blocks of max(1, _STACK_ELEMS // n^2), each one stacked d-matrix build
-    and one stacked (g, n, n) @ (g, n, 2) product: a small-spin grid costs
-    a few array calls instead of one Python iteration per coupling.  The
-    bound keeps a block's stack near 512 KiB, so memory does not grow with
-    the grid (at n = 301 a block is one coupling; a whole 61-point stack
-    would hold 45 MB).
+    Returns a (G, 2S+1) array: row g holds the occupations at coupling
+    ``gammas[g]``, the other parameters taken from ``p``, offsets
+    ascending.  The angles come from ``closed_form_angles``, which checks
+    the grid before any matrix is built, and each row squares column c of
+    the d-matrix at its angle, so R is never formed and a row does not
+    depend on the rest of the grid, bit for bit.  Couplings go in blocks of
+    max(1, _STACK_ELEMS // n^2), one stacked d-matrix build each: a
+    small-spin grid costs a few array calls instead of one Python
+    iteration per coupling, and the bound keeps a block's stack near
+    512 KiB, so memory does not grow with the grid (at n = 301 a block is
+    one coupling; a whole 61-point stack would hold 45 MB).
     """
     center = _central_index(p)
     grid = np.asarray(gammas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"gamma grid must be a non-empty 1-d sequence, got shape "
                          f"{grid.shape}")
-    smallest, largest = float(grid.min()), float(grid.max())
-    if not smallest >= 0.0:  # NaN anywhere makes the minimum NaN
-        raise ValueError(f"gamma must be non-negative, got {smallest}")
-    mixing_angle(p, smallest)  # omega = gamma = 0
-    _phase_rate(p, mixing_angle(p, largest).Gamma)  # Gamma grows with gamma
+    angles = closed_form_angles(p, grid)
     n = 2 * center + 1
-    half_detune = 0.5 * p.omega  # mixing_angle's arithmetic, one coupling at a time
-    g_eff = (2.0 * grid / n).tolist()
-    angles = np.array([math.atan2(g, half_detune) for g in g_eff])
-    rates = -2j * np.array([math.hypot(half_detune, g) for g in g_eff])[:, None] * p.T
-    offsets = np.arange(-center, center + 1.0)  # mode_offsets(p.S)
     block = max(1, _STACK_ELEMS // (n * n))
     out = np.empty((grid.size, n))
     for lo in range(0, grid.size, block):
         D = wigner_d_exponential(p.S, angles[lo:lo + block])
-        right = np.exp(rates[lo:lo + block] * offsets) * D[:, center]  # e o d[c, :]
-        col = D @ right.view(np.float64).reshape(-1, n, 2)  # R[:, c] as (re, im)
-        np.square(col, out=col)
-        np.add(col[:, :, 0], col[:, :, 1], out=out[lo:lo + block])
+        np.square(D[:, :, center], out=out[lo:lo + block])
     return out
 
 
-def closed_form_angles(p: ModulatorParams) -> float:
+def closed_form_angles(p: ModulatorParams, gamma=None):
     """The composed rotation angle 2*beta_tilde controlling |R|.
 
-    sin(2 beta_tilde) = 2 u sqrt(1 - u^2) with u = sin(2 beta) sin(Gamma T),
-    i.e. 2 beta_tilde = 2 arcsin(u) in [-pi, pi]; for every u in [-1, 1],
-    |R_{dm,dp}| = |d^S_{dm,dp}(2 beta_tilde)| entrywise.
+    With u = sin(2 beta) sin(Gamma T), |R_{dm,dp}| = |d^S_{dm,dp}(2 beta_tilde)|
+    entrywise for 2 beta_tilde = 2 arcsin(u) in [-pi, pi] (Varshalovich,
+    Moskalev and Khersonskii 1988, ch. 4).  It is taken as
+    2 atan2(u, hypot(cos 2beta, sin 2beta cos Gamma T)), the hypot being
+    sqrt(1 - u^2), which keeps the digits that arcsin(u) loses as |u| -> 1.
+
+    ``gamma`` replaces p.gamma: a float gives a float, an array the array
+    of angles, each equal bit for bit to its float call.  The couplings are
+    checked first, through their extremes as Python floats: the smallest
+    for sign, NaN and omega = gamma = 0, the largest for finiteness and an
+    overflowing eigenphase 2*Gamma*T*S.
     """
-    ang = mixing_angle(p)
-    u = (ang.g_eff / ang.Gamma) * math.sin(ang.Gamma * p.T)
-    return 2.0 * math.asin(min(1.0, max(-1.0, u)))
+    g = np.asarray(p.gamma if gamma is None else gamma, dtype=float)
+    smallest, largest = float(g.min()), float(g.max())
+    if not smallest >= 0.0:  # NaN anywhere makes the minimum NaN
+        raise ValueError(f"gamma must be non-negative, got {smallest}")
+    if not math.isfinite(largest):
+        raise ValueError(f"gamma must be non-negative and finite, got {largest}")
+    mixing_angle(p, smallest)  # omega = gamma = 0
+    _phase_rate(p, mixing_angle(p, largest).Gamma)  # Gamma grows with gamma
+    g_eff = 2.0 * g / p.n_modes
+    half_detune = 0.5 * p.omega
+    gamma_rabi = np.hypot(half_detune, g_eff)
+    sin_2b, cos_2b = g_eff / gamma_rabi, half_detune / gamma_rabi
+    phase = gamma_rabi * p.T
+    u = sin_2b * np.sin(phase)
+    two_bt = 2.0 * np.arctan2(u, np.hypot(cos_2b, sin_2b * np.cos(phase)))
+    return float(two_bt) if two_bt.ndim == 0 else two_bt
 
 
 def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:

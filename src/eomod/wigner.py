@@ -181,33 +181,25 @@ def wigner_d_exponential(S, theta) -> np.ndarray:
     rows and columns), Y c Y^T (odd, odd), X s Y^T (even, odd) and its
     negative transpose (odd, even): three real half-size products.
 
-    One angle, a Python int or float (numpy's float64 is one), fills one
-    (n, n) matrix with 2-d slices: at a small spin the call's cost is its
-    count of array calls, and ``np.ndim`` of a float would add 8 %.  Any
-    other ``theta`` goes through ``np.asarray``: an array of angles gives
-    the stack of shape ``theta.shape + (n, n)``, each slice equal bit for
-    bit to the one-angle call at its angle (the same products, broadcast
-    over the leading axes, one matrix product per angle), and a 0-d array
-    the (n, n) matrix.  The stack holds theta.size * n^2 floats and a few
-    half-size temporaries of the same order, so the caller bounds its size
-    (``dynamics.central_column_sq`` passes blocks of at most 2^16 entries,
-    or one angle when n^2 exceeds that).
+    One body serves one angle and many.  A Python int or float (numpy's
+    float64 is one) is scaled as a float, which spares a small-spin call
+    the cost of ``np.asarray``; any other ``theta`` goes through
+    ``np.asarray`` and takes two trailing unit axes, so the products
+    broadcast over its shape.  An array of angles gives the stack of shape
+    ``theta.shape + (n, n)``, each slice equal bit for bit to the one-angle
+    call at its angle, and a 0-d array the (n, n) matrix.  The stack holds
+    theta.size * n^2 floats and a few half-size temporaries of the same
+    order, so the caller bounds its size (``dynamics.central_column_sq``
+    passes blocks of at most 2^16 entries, or one angle when n^2 exceeds
+    that).
     """
     two_s = _check_spin(S)
     lam, X, Y = _sy_eigensystem(two_s)
     if isinstance(theta, (int, float)):
         half_angles = (0.5 * theta) * lam
-        c = np.cos(half_angles)  # scales the columns of X and Y
-        s = np.sin(half_angles)
-        D = np.empty((two_s + 1, two_s + 1))
-        D[0::2, 0::2] = (X * c) @ X.T
-        D[1::2, 1::2] = (Y * c) @ Y.T
-        xsy = (X * s) @ Y.T
-        D[0::2, 1::2] = xsy
-        D[1::2, 0::2] = -xsy.T
-        return D
-    half_angles = (0.5 * np.asarray(theta, dtype=float))[..., None, None] * lam
-    c = np.cos(half_angles)  # theta.shape + (1, len(lam)): scales the columns
+    else:
+        half_angles = (0.5 * np.asarray(theta, dtype=float))[..., None, None] * lam
+    c = np.cos(half_angles)  # scales the columns of X and Y
     s = np.sin(half_angles)
     D = np.empty(half_angles.shape[:-2] + (two_s + 1, two_s + 1))
     D[..., 0::2, 0::2] = (X * c) @ X.T

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eomod import verify
 from eomod.dynamics import (
-    _phase_rate,
     central_column_sq,
     closed_form_angles,
     find_revival_peak,
@@ -17,7 +16,7 @@ from eomod.dynamics import (
     propagator,
     revival_scan,
 )
-from eomod.su2 import ModulatorParams, mixing_angle, mode_offsets
+from eomod.su2 import ModulatorParams, mode_offsets
 from eomod.unrestricted import modulation_index
 from eomod.wigner import wigner_d_exponential
 
@@ -71,11 +70,47 @@ class TestClosedForm:
         two_beta_tilde = closed_form_angles(p)
         assert type(two_beta_tilde) is float
         assert math.sin(0.5 * two_beta_tilde) == pytest.approx(1.0, abs=1e-12)
-        assert two_beta_tilde == pytest.approx(math.pi, abs=1e-6)
+        assert two_beta_tilde == pytest.approx(math.pi, abs=1e-15)
 
     @pytest.mark.parametrize("gamma", [2.0, 10.0])
     def test_magnitude_identity(self, gamma):
         assert verify.closed_form_defect(params(gamma=gamma)) < 1e-9
+
+    @pytest.mark.parametrize("detune", [1e-5, 1e-7])
+    def test_near_saturation(self, detune):
+        # g_eff T = pi/2 at gamma = 26.25, so u -> 1 as the detuning falls,
+        # where 2 arcsin(u) kept only half the digits of u
+        p = params(detune=detune, gamma=26.25)
+        assert verify.closed_form_defect(p) < 1e-12
+        col = np.abs(propagator(p)[:, 3]) ** 2
+        assert np.max(np.abs(central_column_sq(p, [p.gamma])[0] - col)) < 1e-14
+
+    @pytest.mark.parametrize("S", [1, 3, 40])
+    @pytest.mark.parametrize("detune", [0.0, 1e-7, -0.37, -1e-300])
+    def test_grid_equals_float_calls(self, S, detune):
+        # at S = 3, u reaches 1 at gamma = 26.25 and changes sign at 52.5; a
+        # coupling whose g_eff rounds to 0 has no angle at zero detuning
+        rng = np.random.default_rng(S)
+        edges = [0.0, 5e-324] if detune != 0.0 else []
+        grid = np.concatenate([edges, [1e-300, 26.25, 52.5], rng.uniform(0.0, 500.0, 40)])
+        p = params(S=S, detune=detune)
+        angles = closed_form_angles(p, grid)
+        assert angles.shape == grid.shape
+        for g, angle in zip(grid.tolist(), angles.tolist()):
+            one = closed_form_angles(p, g)
+            assert type(one) is float
+            assert one == angle and math.copysign(1.0, one) == math.copysign(1.0, angle)
+
+    def test_degenerate_refused_alike_without_warning(self):
+        p = params(detune=0.0, gamma=0.0)
+        messages = set()
+        for gamma in (None, 0.0, [0.0, 1.0], np.array([2.0, 0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="omega = gamma = 0") as err:
+                    closed_form_angles(p, gamma)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_full_phase_structure_with_recovered_alpha(self):
         # Eq.-18 shape: R = exp(-i a (dm+dp)) (-1)^dp d(2 beta~); the angle a
@@ -158,19 +193,16 @@ class TestCentralColumn:
 
     @pytest.mark.parametrize("S", [3, 40])
     def test_rows_equal_per_coupling_scalar_loop(self, S):
-        # the reference takes mixing_angle and _phase_rate coupling by coupling
+        # the reference takes closed_form_angles and a one-angle d-matrix
+        # coupling by coupling, and squares column c
         rng = np.random.default_rng(S)
-        c, n = S, 2 * S + 1
         for detune in (0.1, -0.37, -1e-300):
             p = params(S=S, detune=detune)
             grid = np.concatenate([[0.0, 5e-324, 1e-300], rng.uniform(0.0, 500.0, 60)])
             occ = central_column_sq(p, grid)
             for g, row in zip(grid.tolist(), occ):
-                ang = mixing_angle(p, g)
-                D = wigner_d_exponential(S, np.array([ang.two_beta]))
-                right = np.exp(_phase_rate(p, ang.Gamma) * np.arange(-c, c + 1.0)) * D[:, c]
-                col = D @ right.view(np.float64).reshape(1, n, 2)
-                assert np.array_equal(row, col[0, :, 0] ** 2 + col[0, :, 1] ** 2)
+                d = wigner_d_exponential(S, closed_form_angles(p, g))
+                assert np.array_equal(row, d[:, S] ** 2)
 
     @pytest.mark.parametrize("detune", [-0.1, 0.1, -1e-300])  # -detune at gamma 0: 2beta = pi
     @pytest.mark.parametrize("S", [1, 3, 40])
@@ -206,13 +238,15 @@ class TestCentralColumn:
         with pytest.raises(ValueError, match="central mode"):
             central_column_sq(params(S=2.5), [1.0])
 
-    @pytest.mark.parametrize("grid", [[], [[1.0]], [1.0, -1e-3], [1.0, math.nan],
-                                      [0.0, math.inf], [1.0, math.nan, 2.0],
-                                      [1.0, -1.0, 2.0], [1.0, math.inf, 2.0]])
-    def test_bad_grid_refused(self, grid):
+    @pytest.mark.parametrize("grid,match", [
+        ([], "non-empty"), ([[1.0]], "non-empty"), ([1.0, -1e-3], "non-negative"),
+        ([1.0, math.nan], "non-negative"), ([0.0, math.inf], "finite"),
+        ([1.0, math.nan, 2.0], "non-negative"), ([1.0, -1.0, 2.0], "non-negative"),
+        ([1.0, math.inf, 2.0], "finite")], ids=[f"grid{i}" for i in range(8)])
+    def test_bad_grid_refused(self, grid, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 central_column_sq(params(), grid)
 
     @pytest.mark.parametrize("p,grid", [(params(), [0.0, 1e308]),
@@ -221,8 +255,9 @@ class TestCentralColumn:
     def test_overflow_and_degenerate_refused_without_warning(self, p, grid):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError):
-                central_column_sq(p, grid)
+            for route in (central_column_sq, closed_form_angles):
+                with pytest.raises(ValueError):
+                    route(p, grid)
 
 
 class TestRevivalScan:

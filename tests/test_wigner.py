@@ -92,8 +92,8 @@ class TestExponentialRoute:
             D = route(S, 0.77)
             assert type(D) is np.ndarray and D.dtype == np.float64 and D.shape == (n, n)
         # an array of angles gives the stack of the one-angle calls, bit for bit;
-        # a float (numpy's float64 too) or an int takes the one-angle path, a
-        # 0-d array the stacked one
+        # a float (numpy's float64 too) or an int is scaled as a float, a 0-d
+        # array through np.asarray
         thetas = np.array([[0.0, 0.77, math.pi], [-2.5, 1e-300, 40.0]])
         stack = wigner_d_exponential(S, thetas)
         assert stack.shape == thetas.shape + (n, n)
