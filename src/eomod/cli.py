@@ -8,8 +8,9 @@ figures     preset datasets 1..5 with the reference parameter set baked in
 verify      run the invariant suites and report pass/fail per invariant
 
 Configuration precedence is flags > config file > defaults.  The config
-file is a JSON document named by the ``EOM_CONFIG`` environment variable,
-mirroring the run-config fields::
+file is a JSON document named by the ``EOM_CONFIG`` environment variable.
+Its entries are the ``path`` column of ``_INPUTS``; beside those below are
+``absolute``, ``dm`` and ``gamma_grid`` (start, stop, step)::
 
     {"params": {"s": 3, "omega": 30, "detune": 0.1, "gamma": 2,
                 "period_t": true, "m_tilde": 0},
@@ -18,6 +19,11 @@ mirroring the run-config fields::
      "model": "both",
      "output": {"path": "out.csv", "format": "csv"},
      "display_unit": null}
+
+Any other key, or a value of the wrong kind, exits 2 with the entry named,
+as does a file that sets both ``detune`` and ``omega_mw`` or both ``t`` and
+``"period_t": true``.  ``null`` leaves an entry unset (``false`` does too for
+``period_t``), but a section or a grid must be an object.
 
 Frequency axes are written in display units of ``Omega/30`` unless
 ``--absolute`` is given.  Every data file gets a ``*.manifest.json``
@@ -33,6 +39,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,28 +52,6 @@ from .unrestricted import bessel_j_grid, modulation_index
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
 MAX_GRID_POINTS = 100_000  # the reference grids have 241 points
-
-DEFAULTS = {
-    "s": 3.0,
-    "omega": 30.0,
-    "detune": 0.1,
-    "omega_mw": None,
-    "gamma": 2.0,
-    "t": None,
-    "period_t": True,
-    "m_tilde": 0.0,
-    "filter_hw": 4.0,
-    "scan": (-60.0, 60.0, 0.5),
-    "gamma_grid": (0.0, 60.0, 0.25),
-    "dm": 0,
-    "model": "both",
-    "out": None,
-    "format": "csv",
-    "absolute": False,
-    "display_unit": None,
-}
-
-_EXCLUSIVE = (("detune", "omega_mw"), ("t", "period_t"))
 
 
 @dataclass(frozen=True)
@@ -97,6 +82,50 @@ class GridSpec:
         return self.start + self.step * np.arange(int(self._count()))
 
 
+class _Input(NamedTuple):
+    """One run input: ``name`` keys the merged config and is the dest of the
+    flag ``--name-with-dashes``, ``path`` its dotted EOM_CONFIG entry, ``kind``
+    float, int, bool, str, a tuple of choices or GridSpec (start, stop, step)."""
+    name: str
+    path: str
+    kind: object
+    default: object
+    help: str | None
+    commands: tuple = ("spectrum", "gamma-scan")  # the subcommands with the flag
+
+
+_INPUTS = (
+    _Input("s", "params.s", float, 3.0, "spin S (2S+1 modes)"),
+    _Input("omega", "params.omega", float, 30.0, "mode spacing Omega"),
+    _Input("omega_mw", "params.omega_mw", float, None, "microwave frequency"),
+    _Input("detune", "params.detune", float, 0.1, "detuning omega = Omega - Omega_MW"),
+    _Input("gamma", "params.gamma", float, 2.0, "coupling gamma"),
+    _Input("t", "params.t", float, None, "interaction time T"),
+    _Input("period_t", "params.period_t", bool, True, "set T = 2*pi/Omega"),
+    _Input("m_tilde", "params.m_tilde", float, 0.0, "central mode index (display only)"),
+    _Input("filter_hw", "filter.half_width", float, 4.0,
+           "Gaussian filter half-width at 1/e"),
+    _Input("model", "model", MODELS, "both", None),
+    _Input("out", "output.path", str, None, "output path (default stdout)"),
+    _Input("format", "output.format", ("csv", "json"), "csv", None),
+    _Input("absolute", "absolute", bool, False,
+           "emit absolute frequencies instead of display units"),
+    _Input("display_unit", "display_unit", float, None,
+           "frequency per display unit (default Omega/30)"),
+    _Input("scan", "scan", GridSpec, (-60.0, 60.0, 0.5),
+           "filter offsets start:stop:step in display units", ("spectrum",)),
+    _Input("dm", "dm", int, 0, "sideband offset", ("gamma-scan",)),
+    _Input("gamma_grid", "gamma_grid", GridSpec, (0.0, 60.0, 0.25),
+           "coupling grid start:stop:step", ("gamma-scan",)),
+)
+DEFAULTS = {inp.name: inp.default for inp in _INPUTS}
+_EXCLUSIVE = (("detune", "omega_mw"), ("t", "period_t"))
+_BY_PATH = {tuple(inp.path.split(".")): inp for inp in _INPUTS}
+_SECTIONS = {path[0] for path in _BY_PATH if len(path) > 1}
+_GRID_PARTS = ("start", "stop", "step")
+_JSON_TYPES = {float: (int, float, str), int: (int,), bool: (bool,), str: (str,)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     params: ModulatorParams
@@ -125,6 +154,29 @@ def _is_float(text) -> bool:
     return True
 
 
+def _object(name, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config file entry {name!r} must be an object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _check_entry(name, kind, value):
+    """Refuse a config value that an input of ``kind`` does not take."""
+    if isinstance(kind, tuple):
+        want, ok = f"one of {kind}", value in kind
+    else:  # True is no int here; a numeric string converts where the entry is read
+        want = "a JSON " + ("number" if kind is float else kind.__name__)
+        ok = type(value) in _JSON_TYPES[kind] and not (
+            kind is float and type(value) is str and not _is_float(value))
+    if not ok:
+        raise ValueError(f"config file entry {name!r} must be {want}, got {value!r}")
+    if kind is float and type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"config file entry {name!r} must be a JSON number within "
+                         f"the float range, got an integer of {len(str(abs(value)))} "
+                         f"digits")
+
+
 def _load_config_file() -> dict:
     path = os.environ.get("EOM_CONFIG", "").strip()
     if not path:
@@ -137,58 +189,31 @@ def _load_config_file() -> dict:
                          f"{exc.strerror or exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config file must be a JSON object, got {type(doc).__name__}")
-    for key in ("params", "filter", "output", "scan", "gamma_grid"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ValueError(f"config file entry {key!r} must be an object, "
-                             f"got {type(doc[key]).__name__}")
-    params = doc.get("params", {})
-    number = (int, float, str)  # a numeric string converts where the entry is read
-    entries = [("params.period_t", params.get("period_t"), (bool,)),
-               ("absolute", doc.get("absolute"), (bool,)),
-               ("dm", doc.get("dm"), (int,)),
-               ("output.path", doc.get("output", {}).get("path"), (str,)),
-               ("filter.half_width", doc.get("filter", {}).get("half_width"), number),
-               ("display_unit", doc.get("display_unit"), number)]
-    entries += [(f"params.{key}", params.get(key), number)
-                for key in ("s", "omega", "omega_mw", "detune", "gamma", "t", "m_tilde")]
+    entries = [((key, sub), value) for key in doc if key in _SECTIONS
+               for sub, value in _object(key, doc[key]).items()]
+    entries += [((key,), value) for key, value in doc.items() if key not in _SECTIONS]
     flat = {}
-    for key in ("scan", "gamma_grid"):
-        if key in doc:
-            grid = {f"{key}.{part}": doc[key].get(part) for part in ("start", "stop", "step")}
-            if None in grid.values():
-                raise ValueError(f"config file entry {key!r} must be an object with "
+    for path, value in entries:
+        name, inp = ".".join(path), _BY_PATH.get(path)
+        if inp is None:
+            raise ValueError(f"config file entry {name!r} is unknown: it must be one of "
+                             f"{', '.join(i.path for i in _INPUTS)}")
+        if inp.kind is GridSpec:  # a grid is set whole; null is refused too
+            grid = _object(name, value)
+            if grid.keys() != set(_GRID_PARTS) or None in grid.values():
+                raise ValueError(f"config file entry {name!r} must be an object with "
                                  f"start, stop and step")
-            entries += [(name, value, number) for name, value in grid.items()]
-            flat[key] = tuple(grid.values())
-    for name, value, kinds in entries:
-        if value is not None and (type(value) not in kinds  # True is no int here
-                                  or kinds is number and type(value) is str
-                                  and not _is_float(value)):
-            want = "number" if kinds is number else kinds[0].__name__
-            raise ValueError(f"config file entry {name!r} must be a JSON {want}, "
-                             f"got {value!r}")
-        if type(value) is int and kinds is number and abs(value) > sys.float_info.max:
-            raise ValueError(f"config file entry {name!r} must be a JSON number within "
-                             f"the float range, got an integer of {len(str(abs(value)))} "
-                             f"digits")
-    for key in ("s", "omega", "omega_mw", "detune", "gamma", "t",
-                "period_t", "m_tilde"):
-        if key in params:
-            flat[key] = params[key]
-    if "detune" in params and "omega_mw" in params:
-        raise ValueError("config file sets both detune and omega_mw")
-    if "t" in params and params.get("period_t"):
-        raise ValueError("config file sets both t and period_t")
-    if "half_width" in doc.get("filter", {}):
-        flat["filter_hw"] = doc["filter"]["half_width"]
-    for key in ("model", "display_unit", "dm", "absolute"):
-        if key in doc:
-            flat[key] = doc[key]
-    output = doc.get("output", {})
-    if "path" in output:
-        flat["out"] = output["path"]
-    if "format" in output:
-        flat["format"] = output["format"]
+            value = tuple(grid[part] for part in _GRID_PARTS)
+            for part, v in zip(_GRID_PARTS, value):
+                _check_entry(f"{name}.{part}", float, v)
+        elif value is None:  # null leaves the entry unset
+            continue
+        else:
+            _check_entry(name, inp.kind, value)
+        flat[inp.name] = value
+    for pair in _EXCLUSIVE:  # on the values read: null and false leave an entry unset
+        if all(flat.get(key, False) is not False for key in pair):
+            raise ValueError(f"config file sets both {pair[0]} and {pair[1]}")
     return flat
 
 
@@ -221,12 +246,6 @@ def _build_config(merged) -> RunConfig:
     params = ModulatorParams.from_detuning(
         S=float(merged["s"]), Omega=omega, detune=detune,
         gamma=float(merged["gamma"]), T=t_val, m_tilde=float(merged["m_tilde"]))
-    model = str(merged["model"])
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    fmt = str(merged["format"])
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
     display_unit = merged.get("display_unit")
     display_unit = (omega / DISPLAY_DENOM if display_unit is None
                     else float(display_unit))
@@ -235,9 +254,9 @@ def _build_config(merged) -> RunConfig:
     return RunConfig(params=params,
                      filter=FilterSpec(half_width=float(merged["filter_hw"])),
                      scan=_parse_grid(merged["scan"]),
-                     model=model,
+                     model=merged["model"],
                      out=merged.get("out"),
-                     format=fmt,
+                     format=merged["format"],
                      display_unit=display_unit,
                      absolute=bool(merged["absolute"]))
 
@@ -401,32 +420,6 @@ def _normalize_argv(argv):
     return joined
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--s", type=float, default=None, help="spin S (2S+1 modes)")
-    sub.add_argument("--omega", type=float, default=None, help="mode spacing Omega")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--omega-mw", type=float, default=None,
-                       help="microwave frequency")
-    group.add_argument("--detune", type=float, default=None,
-                       help="detuning omega = Omega - Omega_MW")
-    sub.add_argument("--gamma", type=float, default=None, help="coupling gamma")
-    tgroup = sub.add_mutually_exclusive_group()
-    tgroup.add_argument("--t", type=float, default=None, help="interaction time T")
-    tgroup.add_argument("--period-t", action="store_true", default=None,
-                        help="set T = 2*pi/Omega")
-    sub.add_argument("--m-tilde", type=float, default=None,
-                     help="central mode index (display only)")
-    sub.add_argument("--filter-hw", type=float, default=None,
-                     help="Gaussian filter half-width at 1/e")
-    sub.add_argument("--model", choices=MODELS, default=None)
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--absolute", action="store_true", default=None,
-                     help="emit absolute frequencies instead of display units")
-    sub.add_argument("--display-unit", type=float, default=None,
-                     help="frequency per display unit (default Omega/30)")
-
-
 @functools.cache  # built on the first main() call and reused; parsing keeps no state
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -436,16 +429,18 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("spectrum", help="filter-frequency scan of p_rel")
-    _add_common_flags(sp)
-    sp.add_argument("--scan", default=None,
-                    help="filter offsets start:stop:step in display units")
-
-    gs = subs.add_parser("gamma-scan", help="coupling scan of one sideband")
-    _add_common_flags(gs)
-    gs.add_argument("--dm", type=int, default=None, help="sideband offset")
-    gs.add_argument("--gamma-grid", default=None,
-                    help="coupling grid start:stop:step")
+    for command, text in (("spectrum", "filter-frequency scan of p_rel"),
+                          ("gamma-scan", "coupling scan of one sideband")):
+        sub, groups = subs.add_parser(command, help=text), {}
+        for inp in (inp for inp in _INPUTS if command in inp.commands):
+            pair = next((pair for pair in _EXCLUSIVE if inp.name in pair), None)
+            if pair and pair not in groups:
+                groups[pair] = sub.add_mutually_exclusive_group()
+            spec = ({"action": "store_true"} if inp.kind is bool
+                    else {"choices": inp.kind} if isinstance(inp.kind, tuple)
+                    else {"type": inp.kind if inp.kind in (float, int) else str})
+            groups.get(pair, sub).add_argument("--" + inp.name.replace("_", "-"),
+                                               default=None, help=inp.help, **spec)
 
     fg = subs.add_parser("figures", help="write preset dataset 1..5")
     fg.add_argument("selector", type=int, choices=range(1, 6))
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         return cmd_gamma_scan(cfg, merged["dm"], merged["gamma_grid"])
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"eomod: invalid parameters: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -365,6 +365,23 @@ class TestConfigFile:
         assert run(["spectrum", "--scan=0:1:1"]) == 2
         assert "both t and period_t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,rc", [
+        ({"detune": 0.2, "omega_mw": None}, 0),  # null leaves omega_mw unset
+        ({"t": None, "period_t": True}, 0),
+        ({"detune": 0, "omega_mw": 29.0}, 2),  # 0 sets detune, although 0 == False
+    ])
+    def test_exclusive_pair_reads_values(self, tmp_path, monkeypatch, capsys, params, rc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        monkeypatch.setenv("EOM_CONFIG", str(cfg))
+        out = tmp_path / "a.csv"
+        assert run(["spectrum", "--scan=0:1:1", "--out", str(out)]) == rc
+        assert ("sets both detune and omega_mw" in capsys.readouterr().err) == (rc == 2)
+        if rc == 0:
+            manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+            numbers = {k: v for k, v in params.items() if type(v) is float}
+            assert {k: manifest["params"][k] for k in numbers} == numbers
+
     @pytest.mark.parametrize("doc", [[1, 2], {"params": [0.1]}, {"filter": 1.0},
                                      {"output": "a.csv"}, {"scan": 5},
                                      {"gamma_grid": None}, {"absolute": "false"},
@@ -385,6 +402,9 @@ class TestConfigFile:
         # a string where a number goes must convert to a float
         pytest.param({"params": {"gamma": "two"}}, id="params.gamma-string"),
         pytest.param({"display_unit": "abc"}, id="display_unit-string"),
+        # a key that names no entry, misspelt or at the wrong level
+        pytest.param({"params": {"gama": 10}}, id="params.gama"),
+        pytest.param({"gamma": 10}, id="gamma"),
     ])
     def test_wrong_shape_exit2(self, tmp_path, monkeypatch, capsys, request, doc):
         cfg = tmp_path / "cfg.json"
@@ -434,6 +454,40 @@ class TestConfigFile:
         assert manifest["params"]["s"] == doc["params"]["s"]
         assert manifest["params"]["gamma"] == doc["params"]["gamma"]
         assert manifest["filter"]["half_width"] == doc["filter"]["half_width"]
+
+
+# input -> (flag value, config value), off the default where the input has
+# a value; an input added to the table without a row here fails the test
+_PARITY = {
+    "s": ("2", 2), "omega": ("20", 20), "omega_mw": ("29.5", 29.5),
+    "detune": ("0.3", 0.3), "gamma": ("5", 5), "t": ("0.2", 0.2),
+    "period_t": (None, True), "m_tilde": ("1", 1), "filter_hw": ("3", 3),
+    "model": ("restricted", "restricted"), "out": ("o.csv", "o.csv"),
+    "format": ("json", "json"), "absolute": (None, True), "display_unit": ("2", 2),
+    "scan": ("-3:3:1", {"start": -3, "stop": 3, "step": 1}), "dm": ("1", 1),
+    "gamma_grid": ("0:5:1", {"start": 0, "stop": 5, "step": 1}),
+}
+
+
+@pytest.mark.parametrize("inp", cli._INPUTS, ids=lambda inp: inp.name)
+def test_flag_and_config_entry_agree(tmp_path, monkeypatch, inp):
+    # one input set by its flag, then by its EOM_CONFIG entry: the same bytes
+    text, doc = _PARITY[inp.name]
+    for key in reversed(inp.path.split(".")):
+        doc = {key: doc}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    flag = "--" + inp.name.replace("_", "-")
+    out = [] if inp.name == "out" else ["--out=o.csv"]
+    outputs = []
+    for name, argv, config in (("flag", [flag if text is None else f"{flag}={text}"], ""),
+                               ("file", [], str(tmp_path / "cfg.json"))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        monkeypatch.setenv("EOM_CONFIG", config)  # empty: no config file
+        assert run([inp.commands[0], *argv, *out]) == 0
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("o.csv", "o.csv.manifest.json")])
+    assert outputs[0] == outputs[1]
 
 
 class TestVerifyCommand:
