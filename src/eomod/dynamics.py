@@ -1,4 +1,4 @@
-"""Single-photon propagator of the restricted model and derived quantities.
+"""Mode occupations of the restricted model: one column of the propagator.
 
 The propagator over one interaction window T follows from the quasi-energy
 spectral sum
@@ -6,23 +6,22 @@ spectral sum
     R = d(2 beta) diag(exp(-i dk 2 Gamma T)) d(2 beta)^T,
 
 which equals exp(-i Q T) for the single-photon quasi-energy matrix Q, up to
-the global phase exp(-i omega m_tilde T).  ``propagator`` builds it as one
-real matrix product, the complex factor diag(...) d^T read as interleaved
-(re, im) float64 columns.  Every counting observable reads only
-|R_{dm,0}|^2, one column, since the photon enters the central mode, and the
-su(2) algebra gives the magnitudes in closed form: |R| = |d(2 beta_tilde)|
-entrywise, with the composed angle of ``closed_form_angles``.
-``central_column_sq`` squares column c of that real d-matrix over a whole
-coupling grid, so the spectral sum serves only ``eomod.verify``, which
-checks the two routes against each other and measures the large-S limit
-|R_{dm,0}| -> |J_dm(mu)|.
+the global phase exp(-i omega m_tilde T).  Every counting observable reads
+only |R_{dm,0}|^2, one column, since the photon enters the central mode,
+and the su(2) algebra gives the magnitudes in closed form:
+|R| = |d(2 beta_tilde)| entrywise, with the composed angle of
+``closed_form_angles``.  ``central_column_sq`` squares column c of that
+real d-matrix over a whole coupling grid, so R is never formed here.  The
+spectral sum itself, ``reference.propagator``, serves only
+``eomod.verify``, which checks the two routes against each other and
+measures the large-S limit |R_{dm,0}| -> |J_dm(mu)|.
 """
 
 import math
 
 import numpy as np
 
-from .su2 import ModulatorParams, _check_spin, _spin_ladder, mixing_angle
+from .su2 import ModulatorParams, mixing_angle
 from .wigner import wigner_d_exponential
 
 _STACK_ELEMS = 1 << 16  # float64 entries of one block's d-matrix stack: 512 KiB
@@ -46,20 +45,6 @@ def _phase_rate(p: ModulatorParams, gamma_rabi) -> complex:
         raise ValueError(f"eigenphase 2*Gamma*T*S overflows: Gamma={gamma_rabi}, "
                          f"T={p.T}, S={p.S}")
     return -2j * gamma_rabi * p.T
-
-
-def propagator(p: ModulatorParams) -> np.ndarray:
-    """R(T) by the spectral sum over quasi-energy eigenphases.
-
-    ``R[i, j]`` is R_{dm_i, dp_j} with offsets ascending.
-    """
-    ang = mixing_angle(p)
-    offsets = _spin_ladder(_check_spin(p.S))[0]
-    eigenphases = np.exp(_phase_rate(p, ang.Gamma) * offsets)
-    D = wigner_d_exponential(p.S, ang.two_beta)
-    # R = D (e o D^T), one real product: e o D^T read as float64 (re, im) pairs
-    right = np.multiply(eigenphases[:, None], D.T, order="C")
-    return (D @ right.view(np.float64)).view(np.complex128)
 
 
 def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
@@ -108,13 +93,16 @@ def closed_form_angles(p: ModulatorParams, gamma=None):
     overflowing eigenphase 2*Gamma*T*S.
     """
     g = np.asarray(p.gamma if gamma is None else gamma, dtype=float)
-    smallest, largest = float(g.min()), float(g.max())
+    smallest, largest = ((float(g),) * 2 if g.ndim == 0  # a float skips two reductions
+                         else (float(g.min()), float(g.max())))
     if not smallest >= 0.0:  # NaN anywhere makes the minimum NaN
         raise ValueError(f"gamma must be non-negative, got {smallest}")
     if not math.isfinite(largest):
         raise ValueError(f"gamma must be non-negative and finite, got {largest}")
-    mixing_angle(p, smallest)  # omega = gamma = 0
-    _phase_rate(p, mixing_angle(p, largest).Gamma)  # Gamma grows with gamma
+    top = mixing_angle(p, smallest)  # omega = gamma = 0
+    if largest != smallest:
+        top = mixing_angle(p, largest)
+    _phase_rate(p, top.Gamma)  # Gamma grows with gamma
     g_eff = 2.0 * g / p.n_modes
     half_detune = 0.5 * p.omega
     gamma_rabi = np.hypot(half_detune, g_eff)

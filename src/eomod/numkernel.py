@@ -4,10 +4,10 @@ Everything here works on plain ``numpy`` arrays, real or complex (row-major,
 any dimension the mode models need, up to 2001).  The one operation exposed
 is the Hermitian eigendecomposition, LAPACK's through ``numpy.linalg.eigh``;
 real symmetric input stays real, so its eigenvectors are float64.  No
-production route calls it: the d-matrix exp(-i theta S_y) is built from the
-exact spectrum of S_y and a recurrence (``wigner._sx_eigenvectors``).  It
-serves ``eomod.verify`` (the quasi-energy spacing and the eigen round-trip
-checks) and the tests, as an independent solver.
+command but ``verify`` imports it: the d-matrix exp(-i theta S_y) is built
+from the exact spectrum of S_y and a recurrence.  It serves the
+quasi-energy spacing check of ``eomod.verify`` and the tests, as an
+independent solver.
 """
 
 from typing import NamedTuple

@@ -145,20 +145,3 @@ def mixing_angle(p: ModulatorParams, gamma=None) -> MixingAngle:
                        two_beta=math.atan2(g_eff, half_detune),
                        g_eff=g_eff)
 
-
-def quasi_energy_matrix(p: ModulatorParams) -> np.ndarray:
-    """Single-photon quasi-energy matrix omega*(m_tilde + A0) + g_eff*(A+ + A-).
-
-    Real symmetric tridiagonal (float64); its spectrum is the equidistant
-    ladder omega*m_tilde + 2*Gamma*k, k = -S..S.
-    """
-    offsets, f = _spin_ladder(_check_spin(p.S))
-    n = offsets.size
-    g_eff = 2.0 * p.gamma / n
-    Q = np.zeros((n, n))
-    flat = Q.reshape(-1)  # a view; a step of n + 1 walks along a diagonal
-    # g_eff * 0.0 is the coupling term's zero on the diagonal: with it a -0.0
-    # entry (negative detuning) reads +0.0, as in the sum of the two matrices
-    flat[::n + 1] = p.omega * p.m_tilde + p.omega * offsets + g_eff * 0.0
-    flat[1::n + 1] = flat[n::n + 1] = g_eff * f
-    return Q

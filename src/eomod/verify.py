@@ -4,12 +4,15 @@ Every invariant's residual is computed here once, by a public per-case
 measure (``*_defect``) that the tests also call on their own samples.
 So do the Bessel-model links (large-S and Jacobi limits, the Fourier
 series of exp(-i mu cos t)): the model layers keep no check-only helper.
+The independent routes it compares against come from ``eomod.reference``
+and ``eomod.numkernel``, which no other command imports.
 Each check is a zero-argument callable returning ``(tolerance, measured)``,
 the worst measure over the check's fixed sample; it passes when
 ``measured <= tolerance``.  The quick suite covers the algebra, rotation
 identities, unitarity, revivals and Bessel identities in a few ms; the
 full suite adds the three-route Wigner agreement, the large-spin and
-Jacobi -> Bessel limits and a large random eigensolver round-trip.
+Jacobi -> Bessel limits and the eigen-residual and orthonormality of the
+S_y eigensystem at S_MAX.
 """
 
 import math
@@ -17,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dynamics, su2, unrestricted, wigner
+from . import dynamics, reference, su2, unrestricted, wigner
 from .detection import FilterSpec, spectral_scan
 from .numkernel import hermitian_eigen
 
@@ -66,7 +69,7 @@ def check_su2_algebra():
 def d_pi_defect(S):
     """Largest deviation of d^S(pi) from the exact anti-diagonal sign matrix."""
     dpi = wigner.wigner_d_exponential(S, math.pi)
-    return float(np.max(np.abs(dpi - wigner._d_pi(round(2 * S)))))
+    return float(np.max(np.abs(dpi - reference._d_pi(round(2 * S)))))
 
 
 def orthogonality_defect(S, theta):
@@ -95,7 +98,7 @@ def check_wigner_identities():
 
 def unitarity_defect(p):
     """Largest entry of R R^dagger - I for the propagator of ``p``."""
-    R = dynamics.propagator(p)
+    R = reference.propagator(p)
     return float(np.max(np.abs(R @ R.conj().T - np.eye(R.shape[0]))))
 
 
@@ -121,7 +124,7 @@ def check_exact_revival():
 def closed_form_defect(p):
     """Largest | |R| - |d(2 beta~)| | entry; the identity holds for every
     u = sin 2beta sin Gamma T in [-1, 1]."""
-    R = dynamics.propagator(p)
+    R = reference.propagator(p)
     d = wigner.wigner_d_exponential(p.S, dynamics.closed_form_angles(p))
     return float(np.max(np.abs(np.abs(R) - np.abs(d))))
 
@@ -141,7 +144,7 @@ def check_closed_form_magnitude():
 def ladder_defect(p):
     """Largest gap of the quasi-energies from omega*m~ + 2 Gamma k, over Gamma."""
     gamma_rabi = su2.mixing_angle(p).Gamma
-    vals = hermitian_eigen(su2.quasi_energy_matrix(p)).values
+    vals = hermitian_eigen(reference.quasi_energy_matrix(p)).values
     ladder = p.omega * p.m_tilde + 2.0 * gamma_rabi * su2.mode_offsets(p.S)
     return float(np.max(np.abs(vals - ladder)) / gamma_rabi)
 
@@ -244,8 +247,8 @@ def check_scan_bounds():
 def three_route_defect(S, theta):
     """Largest gap of the factorial and Jacobi d^S(theta) from the exponential route."""
     de = wigner.wigner_d_exponential(S, theta)
-    df = wigner.wigner_d_factorial(S, theta)
-    dj = wigner.wigner_d_jacobi(S, theta)
+    df = reference.wigner_d_factorial(S, theta)
+    dj = reference.wigner_d_jacobi(S, theta)
     return float(max(np.max(np.abs(de - df)), np.max(np.abs(de - dj))))
 
 
@@ -285,7 +288,7 @@ def check_asymptotic_monotone():
 def jacobi_bessel_defect(alpha, beta_param, z, n):
     """Relative gap of n^-alpha P_n^(alpha,beta)(cos(z/n)) from its
     large-degree limit (z/2)^-alpha J_alpha(z), for an integer alpha."""
-    lhs = n ** -alpha * wigner.jacobi_poly(n, alpha, beta_param, math.cos(z / n))
+    lhs = n ** -alpha * reference.jacobi_poly(n, alpha, beta_param, math.cos(z / n))
     rhs = (0.5 * z) ** (-alpha) * unrestricted.bessel_j(alpha, z)
     return abs(lhs - rhs) / abs(rhs)
 
@@ -296,14 +299,29 @@ def check_jacobi_bessel_limit():
                                                   (2, 1.0, 3.0)))
 
 
-def check_eigen_reconstruction():
-    rng = np.random.default_rng(11)
-    n = 301
-    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = (M + M.conj().T) / 2.0
-    dec = hermitian_eigen(A)
-    recon = (dec.vectors * dec.values) @ dec.vectors.conj().T
-    return 1e-10, float(np.max(np.abs(recon - A)) / np.max(np.abs(dec.values)))
+def eigensystem_defect(two_s):
+    """Worst of |(-2 S_x) U - U Lambda| / 2S and the entries of X^T X - I and
+    Y^T Y - I, for the cached S_y eigensystem (lam, X, Y) at spin two_s / 2.
+
+    U holds the unit eigenvectors of -2 S_x: X in its even rows and Y in its
+    odd ones, row k signed back by (-1)^ceil(k/2).
+    """
+    lam, X, Y = wigner._sy_eigensystem(two_s)
+    U = np.empty((two_s + 1, lam.size))
+    U[0::2], U[1::2] = X, Y
+    U *= (-1.0) ** ((np.arange(two_s + 1)[:, None] + 1) // 2)
+    U /= np.linalg.norm(U, axis=0)
+    f = su2.ladder_weights(two_s / 2.0)[:, None]
+    resid = -U * lam  # row i of -2 S_x U: -f(i-1) U[i-1] - f(i) U[i+1]
+    resid[1:] -= f * U[:-1]
+    resid[:-1] -= f * U[1:]
+    Y = Y[:, two_s % 2 == 0:]  # integer S: the zero mode has no odd half
+    return float(max(np.max(np.abs(resid)) / two_s,
+                     *(np.max(np.abs(h.T @ h - np.eye(h.shape[1]))) for h in (X, Y))))
+
+
+def check_sy_eigensystem():
+    return 1e-12, eigensystem_defect(2 * su2.S_MAX)
 
 
 QUICK_CHECKS: dict[str, Callable] = {
@@ -328,7 +346,7 @@ FULL_EXTRA_CHECKS: dict[str, Callable] = {
     "asymptotic-limit": check_asymptotic_limit,
     "asymptotic-monotone": check_asymptotic_monotone,
     "jacobi-bessel-limit": check_jacobi_bessel_limit,
-    "eigen-reconstruction": check_eigen_reconstruction,
+    "sy-eigensystem": check_sy_eigensystem,
 }
 
 

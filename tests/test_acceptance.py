@@ -20,12 +20,8 @@ import numpy as np
 import pytest
 
 from eomod import cli, verify
-from eomod.dynamics import (
-    find_revival_peak,
-    mode_occupations,
-    propagator,
-    revival_scan,
-)
+from eomod.dynamics import find_revival_peak, mode_occupations, revival_scan
+from eomod.reference import propagator
 from eomod.su2 import ModulatorParams, mode_offsets
 from eomod.unrestricted import (
     bessel_j,

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eomod import cli, verify, wigner
-from eomod.dynamics import propagator, revival_scan
+from eomod.dynamics import revival_scan
+from eomod.reference import propagator
 from eomod.su2 import ModulatorParams
 from eomod.unrestricted import bessel_j, modulation_index
 

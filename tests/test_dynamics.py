@@ -13,9 +13,9 @@ from eomod.dynamics import (
     closed_form_angles,
     find_revival_peak,
     mode_occupations,
-    propagator,
     revival_scan,
 )
+from eomod.reference import propagator
 from eomod.su2 import ModulatorParams, mode_offsets
 from eomod.unrestricted import modulation_index
 from eomod.wigner import wigner_d_exponential

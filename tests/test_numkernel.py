@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from eomod.numkernel import HERM_TOL, RECON_TOL, hermitian_eigen
-from eomod.wigner import _d_pi
+from eomod.reference import _d_pi
 
 from oracles import expm_taylor, spin_y2, tridiag_eigenvalues_sturm
 

@@ -1,6 +1,6 @@
 """Declared dependencies match what the package imports; the test oracles
 import nothing from the package they check; the su(2) stack and the Bessel
-model import nothing from each other."""
+model import nothing from each other, and neither imports the check code."""
 
 import ast
 import json
@@ -48,7 +48,8 @@ def test_import_loads_only_declared_dependencies():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = ("import json, sys; before = set(sys.modules); import eomod; "
+    probe = ("import json, sys; before = set(sys.modules); "
+             "import eomod.cli, eomod.verify; "
              "print(json.dumps(sorted({m.split('.')[0] for m in "
              "set(sys.modules) - before} - set(sys.stdlib_module_names))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -68,13 +69,14 @@ def test_cli_import_leaves_numpy_fft_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # only the verify command needs the check layer; every other one-shot
-    # CLI process skips importing it
+@pytest.mark.parametrize("module", ["eomod.verify", "eomod.reference", "eomod.numkernel"])
+def test_cli_import_leaves_verify_unloaded(module):
+    # only the verify command needs the check layer and the oracle routes
+    # behind it; every other one-shot CLI process skips importing them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = "import sys, eomod.cli; print('eomod.verify' in sys.modules)"
+    probe = f"import sys, eomod.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
@@ -95,7 +97,8 @@ def test_oracles_import_nothing_from_eomod():
 
 def eomod_imports(module):
     """The eomod modules that ``src/eomod/<module>.py`` imports, read from its AST
-    (``import eomod`` itself loads every module, so sys.modules cannot tell)."""
+    (one module's import loads the others it reaches, so sys.modules cannot
+    tell which module named them)."""
     tree = ast.parse((SRC / "eomod" / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):
@@ -111,7 +114,7 @@ def eomod_imports(module):
     return found
 
 
-@pytest.mark.parametrize("module", ["su2", "numkernel", "wigner", "dynamics"])
+@pytest.mark.parametrize("module", ["su2", "numkernel", "wigner", "dynamics", "reference"])
 def test_su2_stack_imports_no_bessel_model(module):
     # only detection, verify and cli join the two models
     assert not eomod_imports(module) & {"unrestricted", "detection", "verify", "cli"}
@@ -121,3 +124,9 @@ def test_bessel_model_imports_no_other_module():
     assert eomod_imports("unrestricted") == set()
     # the walk sees both relative import forms
     assert {"detection", "dynamics", "unrestricted", "wigner"} <= eomod_imports("verify")
+
+
+@pytest.mark.parametrize("module", ["su2", "wigner", "dynamics", "unrestricted", "detection"])
+def test_model_layers_import_no_check_code(module):
+    # the oracle routes, LAPACK's solver and the checks serve verify alone
+    assert not eomod_imports(module) & {"reference", "numkernel", "verify"}

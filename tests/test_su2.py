@@ -5,13 +5,13 @@ import pytest
 
 from eomod import verify
 from eomod.numkernel import hermitian_eigen
+from eomod.reference import quasi_energy_matrix
 from eomod.su2 import (
     S_MAX,
     ModulatorParams,
     ladder_weights,
     mixing_angle,
     mode_offsets,
-    quasi_energy_matrix,
 )
 
 from oracles import quasi_energy, spin_y2

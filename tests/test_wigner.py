@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from eomod import verify, wigner
-from eomod.unrestricted import bessel_j
-from eomod.wigner import (
+from eomod.reference import (
     FACTORIAL_S_MAX,
     CapabilityError,
     jacobi_poly,
-    wigner_d_exponential,
     wigner_d_factorial,
     wigner_d_jacobi,
 )
+from eomod.unrestricted import bessel_j
+from eomod.wigner import wigner_d_exponential
 
 from oracles import bessel_series, expm_taylor, jacobi_series, spin_y2
 
@@ -156,6 +156,16 @@ class TestRecurrenceEigensystem:
         Y = Y[:, two_s % 2 == 0:]  # integer S: the zero mode has no odd half
         for half in (X, Y):
             assert np.max(np.abs(half.T @ half - np.eye(half.shape[1]))) < 1e-13
+
+    @pytest.mark.parametrize("half", [1, 2], ids=["X", "Y"])
+    def test_verify_check_fails_on_a_perturbed_eigenvector(self, monkeypatch, half):
+        # verify's S_MAX check reads the cached eigensystem, so one entry of
+        # one eigenvector off by 1e-9 must fail it
+        system = [a.copy() for a in wigner._sy_eigensystem(2000)]
+        system[half][500, 700] += 1e-9
+        monkeypatch.setattr(wigner, "_sy_eigensystem", lambda two_s: tuple(system))
+        tol, measured = verify.check_sy_eigensystem()
+        assert measured > tol
 
 
 class TestFactorialRoute:
