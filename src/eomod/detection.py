@@ -22,6 +22,7 @@ from .unrestricted import modulation_index, unrestricted_occupations
 
 MODELS = ("restricted", "unrestricted", "both")
 _KERNEL_REACH = 28.0  # half-widths; exp(-28.0**2) == 0.0 in float64
+_EXP_ZERO = 745.14  # exp(-q) == 0.0 in float64 for every q >= this
 
 
 @dataclass(frozen=True)
@@ -35,28 +36,50 @@ class FilterSpec:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
 
-def _kernel_sum(weights, spacing, f: FilterSpec, filter_offsets):
-    """Filter-weighted sums at each filter offset over the ladder of modes
-    spacing * (-c..c), c = weights.size // 2; all offsets carrier-relative.
-
-    exp(-z^2) is exactly 0.0 in float64 once |z| > 27.3, so only the
-    contiguous band of modes within _KERNEL_REACH half-widths of the grid
-    enters the sum, and |mode - offset| is capped at that reach before the
-    division: the kept kernel entries are the dense ones bit for bit, and
-    no z overflows however small the half-width.  Refuses a ladder and grid
-    whose largest mode-to-offset distance overflows.
-    """
+def _check_reach(weights, spacing, filter_offsets):
+    """Refuse a ladder spacing * (-c..c), c = weights.size // 2, and a grid
+    whose largest mode-to-offset distance overflows; returns the weights."""
     c = weights.size // 2
     first, last = float(filter_offsets[0]), float(filter_offsets[-1])
     if not math.isfinite(float(spacing) * c + max(-first, last)):
         raise ValueError(f"largest mode-to-filter distance overflows: Omega*{c} = "
                          f"{float(spacing) * c}, filter offsets {first}..{last}")
+    return weights
+
+
+def _kernel_sum(ladders, spacing, f: FilterSpec, filter_offsets):
+    """Filter-weighted sums at each filter offset, one per weight ladder;
+    a ladder of size 2c + 1 sits on the modes spacing * (-c..c), and the
+    offsets are carrier-relative.
+
+    One kernel, on the widest ladder, serves every ladder: a narrower one
+    has the modes of its middle and reads those columns.  Only the
+    contiguous band of modes within _KERNEL_REACH half-widths of the grid
+    enters, and |mode - offset| is capped at that reach before the
+    division, so no z overflows however small the half-width.  exp(-z^2)
+    is exactly 0.0 in float64 once z^2 > 745.1332 (1075 ln 2), so exp runs
+    only where z^2 < _EXP_ZERO = 745.14 and the rest of the band stays 0.0:
+    the kernel is the dense one bit for bit, and the underflowing entries,
+    a third of the band in S = 3 spectra on the reference scan and many
+    times slower through exp than normal ones, cost nothing.
+    :func:`_check_reach` checks the distances.
+    """
+    c = max(w.size for w in ladders) // 2
     reach = _KERNEL_REACH * f.half_width
     modes = spacing * np.arange(-c, c + 1.0)
-    lo, hi = np.searchsorted(modes, [first - reach, last + reach])
+    lo, hi = np.searchsorted(modes, [filter_offsets[0] - reach, filter_offsets[-1] + reach])
     x = modes[None, lo:hi] - filter_offsets[:, None]
     z = np.clip(x, -reach, reach, out=x) / f.half_width
-    return np.exp(-z * z) @ weights[lo:hi]
+    e = np.negative(z)
+    e *= z  # -z * z, as the dense kernel forms it
+    kernel = np.exp(e, out=np.zeros_like(e), where=e > -_EXP_ZERO)
+    sums = []
+    for w in ladders:
+        shift = c - w.size // 2  # w[i] sits at index i + shift of the widest ladder
+        a = max(lo, shift)
+        b = max(a, min(hi, shift + w.size))  # [a, b): w's part of the band
+        sums.append(kernel[:, a - lo:b - lo] @ w[a - shift:b - shift])
+    return sums
 
 
 def spectral_scan(p: ModulatorParams, f: FilterSpec, grid, model="both"):
@@ -68,6 +91,8 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid, model="both"):
     MODELS; a curve it does not ask for is None and is not computed, so
     parameters that only one model rejects fail only that model's scan.
     Scan points are independent of each other; results follow grid order.
+    Both curves come from one kernel (:func:`_kernel_sum`), each bit for
+    bit the single-model scan's.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -77,10 +102,11 @@ def spectral_scan(p: ModulatorParams, f: FilterSpec, grid, model="both"):
     if not np.all(grid[1:] > grid[:-1]):  # NaN fails too; no difference can overflow
         raise ValueError("scan grid must be strictly increasing")
 
-    restricted = unrestricted = None
+    ladders = {}
     if model != "unrestricted":
-        restricted = _kernel_sum(mode_occupations(p, 1.0), p.Omega, f, grid)
+        ladders["restricted"] = _check_reach(mode_occupations(p, 1.0), p.Omega, grid)
     if model != "restricted":
         weights = unrestricted_occupations(modulation_index(p.omega, p.gamma, p.T))
-        unrestricted = _kernel_sum(weights, p.Omega, f, grid)
-    return restricted, unrestricted
+        ladders["unrestricted"] = _check_reach(weights, p.Omega, grid)
+    sums = dict(zip(ladders, _kernel_sum(list(ladders.values()), p.Omega, f, grid)))
+    return sums.get("restricted"), sums.get("unrestricted")

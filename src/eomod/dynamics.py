@@ -114,11 +114,17 @@ def closed_form_angles(p: ModulatorParams, gamma=None):
 
 
 def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
-    """Mean photon numbers n0 |R_{dm,0}|^2 for a centrally excited input."""
+    """Mean photon numbers n0 |R_{dm,0}|^2 for a centrally excited input.
+
+    The row of ``central_column_sq`` at p.gamma, bit for bit, from the float
+    path of ``closed_form_angles`` and the one-angle d-matrix.
+    """
     n0 = float(n0)
     if not (n0 >= 0.0 and math.isfinite(n0)):
         raise ValueError(f"input photon number must be >= 0 and finite, got {n0}")
-    return n0 * central_column_sq(p, [p.gamma])[0]
+    center = _central_index(p)
+    d = wigner_d_exponential(p.S, closed_form_angles(p))
+    return n0 * np.square(d[:, center])
 
 
 def revival_scan(p_base: ModulatorParams, gamma_grid):

@@ -130,7 +130,13 @@ def wigner_d_exponential(S, theta) -> np.ndarray:
     ``np.asarray`` and takes two trailing unit axes, so the products
     broadcast over its shape.  An array of angles gives the stack of shape
     ``theta.shape + (n, n)``, each slice equal bit for bit to the one-angle
-    call at its angle, and a 0-d array the (n, n) matrix.  The stack holds
+    call at its angle, and a 0-d array the (n, n) matrix.  That equality
+    rests on numpy's stacked matmul, which makes one BLAS product per angle
+    of the one-angle call's shape.  One 2-D product over all stacked rows,
+    (g h, m) @ (m, h'), would take fewer calls, but BLAS picks its kernel
+    and thread split by the product's shape, so its rows need not keep the
+    one-angle bits: on OpenBLAS 0.3.31 they differ at 2S = 62..68, and from
+    2S = 160 on when BLAS runs threads.  The stack holds
     theta.size * n^2 floats and a few half-size temporaries of the same
     order, so the caller bounds its size (``dynamics.central_column_sq``
     passes blocks of at most 2^16 entries, or one angle when n^2 exceeds

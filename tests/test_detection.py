@@ -7,6 +7,7 @@ import pytest
 from eomod.detection import FilterSpec, _kernel_sum, spectral_scan
 from eomod.dynamics import mode_occupations
 from eomod.su2 import ModulatorParams
+from eomod.unrestricted import modulation_index, unrestricted_occupations
 
 TP = 2 * math.pi / 30
 
@@ -64,6 +65,18 @@ class TestSpectralScan:
             for curve in spectral_scan(params(gamma=0.0, m_tilde=m_tilde),
                                        FilterSpec(4.0), grid):
                 assert np.max(np.abs(curve - kernel)) < 1e-12
+
+    @pytest.mark.parametrize("S,gamma", [(3, 2.0), (3, 24.25), (60, 0.5)])
+    def test_both_models_equal_the_single_model_scans(self, S, gamma):
+        # at S = 60, gamma = 0.5 the restricted ladder (121 modes) is the wider
+        p = ModulatorParams.from_detuning(S=S, Omega=30.0, detune=0.1, gamma=gamma, T=TP)
+        grid = np.arange(-60.0, 60.001, 0.5)
+        f = FilterSpec(4.0)
+        restricted, unrestricted = spectral_scan(p, f, grid, "both")
+        assert np.array_equal(restricted, spectral_scan(p, f, grid, "restricted")[0])
+        assert np.array_equal(unrestricted, spectral_scan(p, f, grid, "unrestricted")[1])
+        sidebands = unrestricted_occupations(modulation_index(p.omega, p.gamma, p.T)).size
+        assert (sidebands < 2 * S + 1) == (S == 60)
 
     def test_grid_validation(self):
         f = FilterSpec(4.0)
@@ -128,26 +141,61 @@ class TestBandedKernelSum:
             lo, hi = np.sort(rng.uniform(-span, span, 2))  # often part of the ladder
             grid = np.unique(rng.uniform(lo, hi, int(rng.integers(1, 120))))
             dense = dense_kernel_sum(weights, spacing, half_width, grid)
-            band = _kernel_sum(weights, spacing, FilterSpec(half_width), grid)
+            band = _kernel_sum([weights], spacing, FilterSpec(half_width), grid)[0]
             assert np.all(np.abs(band - dense) <= 1e-15 * np.max(dense))
             assert np.all(band[dense == 0.0] == 0.0)
 
     def test_reach_keeps_a_mode_25_half_widths_away(self):
         # exp(-625) ~ 3.6e-272 is a normal float; a reach of 20 would drop it
         weights = np.array([0.0, 0.0, 0.75, 0.0, 0.0])
-        val = _kernel_sum(weights, 100.0, FilterSpec(2.0), np.array([50.0]))[0]
+        val = _kernel_sum([weights], 100.0, FilterSpec(2.0), np.array([50.0]))[0][0]
         assert val > 0.0
         assert val == pytest.approx(0.75 * math.exp(-625.0), rel=1e-12)
 
+    def test_subnormal_kernel_entry_matches_dense_sum(self):
+        # z^2 = 718: exp gives a subnormal float, which the sum keeps as it is
+        weights = np.array([0.0, 0.0, 0.75, 0.0, 0.0])
+        grid = np.array([-2.0 * math.sqrt(718.0), 2.0 * math.sqrt(718.0)])
+        val = _kernel_sum([weights], 100.0, FilterSpec(2.0), grid)[0]
+        assert np.array_equal(val, dense_kernel_sum(weights, 100.0, 2.0, grid))
+        assert np.all((0.0 < val) & (val < np.finfo(float).tiny))
+
+    def test_mode_past_the_exp_threshold_contributes_zero(self):
+        # z^2 = 751 lies inside the 28-half-width band but past 745.14, where
+        # exp(-z^2) is 0.0 in float64; the next mode, 77 half-widths off, is outside
+        weights = np.array([0.0, 0.0, 0.75, 0.5, 0.0])
+        grid = np.array([-2.0 * math.sqrt(751.0)])
+        val = _kernel_sum([weights], 100.0, FilterSpec(2.0), grid)[0]
+        assert val.tolist() == [0.0]
+        assert np.array_equal(val, dense_kernel_sum(weights, 100.0, 2.0, grid))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ladders_of_two_widths_equal_their_own_sums(self, seed):
+        # the narrower ladder reads the middle of the wider one's kernel, also
+        # when the band covers only part of it or none
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(60):
+            sizes = 2 * rng.integers(0, 120, 2) + 1
+            ladders = [rng.random(size) for size in sizes]
+            spacing = rng.uniform(1.0, 60.0)
+            half_width = spacing * 10.0 ** rng.uniform(-1.5, 1.0)
+            span = spacing * sizes.max() / 2 + 40.0 * half_width
+            lo, hi = np.sort(rng.uniform(-span, span, 2))
+            grid = np.unique(rng.uniform(lo, hi, int(rng.integers(1, 120))))
+            f = FilterSpec(half_width)
+            both = _kernel_sum(ladders, spacing, f, grid)
+            for w, val in zip(ladders, both):
+                assert np.array_equal(val, _kernel_sum([w], spacing, f, grid)[0])
+
     def test_empty_band_gives_zeros(self):
         weights = np.full(7, 1.0 / 7.0)
-        val = _kernel_sum(weights, 30.0, FilterSpec(4.0), np.array([1e4, 1e4 + 1.0]))
+        val = _kernel_sum([weights], 30.0, FilterSpec(4.0), np.array([1e4, 1e4 + 1.0]))[0]
         assert val.tolist() == [0.0, 0.0]
 
     def test_huge_half_width_band_is_every_mode(self):
         weights = np.random.default_rng(1).random(61)
         grid = np.array([-1e3, 0.0, 5.0])
-        val = _kernel_sum(weights, 30.0, FilterSpec(1e300), grid)
+        val = _kernel_sum([weights], 30.0, FilterSpec(1e300), grid)[0]
         assert np.array_equal(val, dense_kernel_sum(weights, 30.0, 1e300, grid))
         assert val == pytest.approx([weights.sum()] * 3, rel=1e-14)
 
@@ -156,8 +204,8 @@ class TestBandedKernelSum:
         weights = np.array([0.25, 0.5, 0.25])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = _kernel_sum(weights, 30.0, FilterSpec(half_width),
-                              np.array([-30.0, 0.0, 15.0, 1e300]))
+            val = _kernel_sum([weights], 30.0, FilterSpec(half_width),
+                              np.array([-30.0, 0.0, 15.0, 1e300]))[0]
         assert val.tolist() == [0.25, 0.5, 0.0, 0.0]
 
     def test_overflowing_distance_refused(self):

@@ -109,6 +109,42 @@ class TestBesselGrid:
             expected = [bessel_j(n, x) for x in self.X.tolist()]
             assert np.array_equal(_bits(bessel_j_grid(n, self.X)), _bits(expected))
 
+    @staticmethod
+    def rescaled_indices(monkeypatch, n, x):
+        """bessel_j_grid(n, x) and the sorted-order indices it rescales, one
+        entry per rescale: the grid finds the elements past the limit with
+        one np.flatnonzero per step that rescales."""
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def flatnonzero(self, a):
+                calls.append(np.flatnonzero(a))
+                return calls[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(unrestricted, "np", Spy())
+            out = bessel_j_grid(n, x)
+        return out, np.concatenate([[], *calls]).astype(int)
+
+    def test_order_80_rescales_each_element_once(self, monkeypatch):
+        # the unnormalised recurrence passes the 1e200 limit once on its way
+        # down: the growth bound lets the test run, and it fires per element
+        x = np.linspace(2.01, 2.93, 47)
+        out, rescaled = self.rescaled_indices(monkeypatch, 80, x)
+        assert np.array_equal(np.sort(rescaled), np.arange(x.size))
+        assert np.array_equal(_bits(out), _bits([bessel_j(80, v) for v in x.tolist()]))
+
+    def test_mixed_grid_rescales_only_the_small_arguments(self, monkeypatch):
+        small, large = np.linspace(2.01, 2.93, 23), np.linspace(20.0, 300.0, 30)
+        x = np.concatenate([large[:15], small, -large[15:]])
+        for n in (80, -81):
+            out, rescaled = self.rescaled_indices(monkeypatch, n, x)
+            assert rescaled.size == np.unique(rescaled).size == small.size
+            assert np.array_equal(_bits(out), _bits([bessel_j(n, v) for v in x.tolist()]))
+
     def test_input_guards(self):
         assert bessel_j_grid(3, []).shape == (0,)
         for bad in ([1.0, math.nan], [[1.0]]):

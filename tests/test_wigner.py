@@ -102,6 +102,21 @@ class TestExponentialRoute:
                 assert np.array_equal(stack[idx], wigner_d_exponential(S, theta))
         assert np.array_equal(stack[0, 0], wigner_d_exponential(S, 0))
 
+    # 2S = 62 and 68 (all numbers of angles) and 160 (a few angles, when
+    # BLAS runs threads) are sizes at which one 2-D product over the stacked
+    # rows, (g h, m) @ (m, h'), gives other bits than the per-angle products
+    @pytest.mark.parametrize("two_s", [*range(1, 21), 62, 68, 160])
+    def test_stack_slices_equal_one_angle_calls(self, two_s):
+        rng = np.random.default_rng(two_s)
+        shapes = [(), (1,), (2, 3)] + ([(241,)] if two_s <= 20 else [(2,)])
+        for shape in shapes:
+            thetas = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, shape)
+            stack = wigner_d_exponential(two_s / 2, thetas)
+            assert stack.shape == shape + (two_s + 1, two_s + 1)
+            for idx in np.ndindex(shape):
+                assert np.array_equal(stack[idx],
+                                      wigner_d_exponential(two_s / 2, float(thetas[idx])))
+
     def test_broken_pairing_raises(self, monkeypatch):
         recurrence = wigner._sx_eigenvectors
 
