@@ -47,7 +47,7 @@ from . import __version__
 from .detection import MODELS, FilterSpec, spectral_scan
 from .dynamics import central_column_sq
 from .su2 import ModulatorParams
-from .unrestricted import bessel_j_grid, modulation_index
+from .unrestricted import bessel_j, modulation_index
 
 FLOAT_FMT = "{:.11e}"  # 12 significant digits
 DISPLAY_DENOM = 30.0
@@ -350,7 +350,7 @@ def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
     if cfg.model in ("unrestricted", "both"):
         p = cfg.params
         header.append("p_unrestricted")
-        columns.append(bessel_j_grid(dm, modulation_index(p.omega, grid, p.T)) ** 2)
+        columns.append(bessel_j(dm, modulation_index(p.omega, grid, p.T)) ** 2)
     manifest = _manifest(cfg, "gamma-scan", {
         "dm": dm,
         "gamma_grid": {"start": gg.start, "stop": gg.stop, "step": gg.step},
@@ -385,10 +385,10 @@ def cmd_figures(selector, out_dir) -> int:
     return cmd_gamma_scan(cfg, preset["dm"], DEFAULTS["gamma_grid"])
 
 
-def cmd_verify(level, checks=None) -> int:
+def cmd_verify(level) -> int:
     from . import verify  # only this command needs the check layer
 
-    results = verify.run_checks(level, checks=checks)
+    results = verify.run_checks(level)
     sys.stdout.write(verify.format_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 

@@ -11,7 +11,8 @@ only |R_{dm,0}|^2, one column, since the photon enters the central mode,
 and the su(2) algebra gives the magnitudes in closed form:
 |R| = |d(2 beta_tilde)| entrywise, with the composed angle of
 ``closed_form_angles``.  ``central_column_sq`` squares column c of that
-real d-matrix over a whole coupling grid, so R is never formed here.  The
+real d-matrix at one coupling or over a whole coupling grid, so R is never
+formed here; ``mode_occupations`` scales its row at p.gamma.  The
 spectral sum itself, ``reference.propagator``, serves only
 ``eomod.verify``, which checks the two routes against each other and
 measures the large-S limit |R_{dm,0}| -> |J_dm(mu)|.
@@ -48,14 +49,14 @@ def _phase_rate(p: ModulatorParams, gamma_rabi) -> complex:
 
 
 def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
-    """|R_{dm,0}|^2 = d^S_{dm,0}(2 beta_tilde)^2 over a grid of couplings.
+    """|R_{dm,0}|^2 = d^S_{dm,0}(2 beta_tilde)^2 at one coupling or a grid.
 
-    Returns a (G, 2S+1) array: row g holds the occupations at coupling
-    ``gammas[g]``, the other parameters taken from ``p``, offsets
-    ascending.  The angles come from ``closed_form_angles``, which checks
-    the grid before any matrix is built, and each row squares column c of
-    the d-matrix at its angle, so R is never formed and a row does not
-    depend on the rest of the grid, bit for bit.  Couplings go in blocks of
+    ``gammas`` replaces p.gamma: a float gives the (2S+1,) row, offsets
+    ascending, and a 1-d grid a (G, 2S+1) array whose row g equals the
+    float call at ``gammas[g]`` bit for bit.  The angles come from
+    ``closed_form_angles``, which checks the couplings before any matrix is
+    built, and each row squares column c of the d-matrix at its angle, so R
+    is never formed.  Grid couplings go in blocks of
     max(1, _STACK_ELEMS // n^2), one stacked d-matrix build each: a
     small-spin grid costs a few array calls instead of one Python
     iteration per coupling, and the bound keeps a block's stack near
@@ -64,9 +65,12 @@ def central_column_sq(p: ModulatorParams, gammas) -> np.ndarray:
     """
     center = _central_index(p)
     grid = np.asarray(gammas, dtype=float)
+    if grid.ndim == 0:
+        d = wigner_d_exponential(p.S, closed_form_angles(p, float(grid)))
+        return np.square(d[:, center])
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"gamma grid must be a non-empty 1-d sequence, got shape "
-                         f"{grid.shape}")
+        raise ValueError(f"gamma grid must be a float or a non-empty 1-d sequence, got "
+                         f"shape {grid.shape}")
     angles = closed_form_angles(p, grid)
     n = 2 * center + 1
     block = max(1, _STACK_ELEMS // (n * n))
@@ -116,15 +120,12 @@ def closed_form_angles(p: ModulatorParams, gamma=None):
 def mode_occupations(p: ModulatorParams, n0) -> np.ndarray:
     """Mean photon numbers n0 |R_{dm,0}|^2 for a centrally excited input.
 
-    The row of ``central_column_sq`` at p.gamma, bit for bit, from the float
-    path of ``closed_form_angles`` and the one-angle d-matrix.
+    n0 times ``central_column_sq`` at p.gamma.
     """
     n0 = float(n0)
     if not (n0 >= 0.0 and math.isfinite(n0)):
         raise ValueError(f"input photon number must be >= 0 and finite, got {n0}")
-    center = _central_index(p)
-    d = wigner_d_exponential(p.S, closed_form_angles(p))
-    return n0 * np.square(d[:, center])
+    return n0 * central_column_sq(p, p.gamma)
 
 
 def revival_scan(p_base: ModulatorParams, gamma_grid):

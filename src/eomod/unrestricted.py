@@ -5,9 +5,11 @@ amplitudes are integer-order Bessel functions of the modulation index
 ``mu = (4 gamma / omega) sin(omega T / 2)``.  Bessel values come from
 Miller's backward recurrence with normalization (stable for every order we
 need), with the ascending power series as the small-argument path.
+``bessel_j`` takes one argument or a grid, as ``modulation_index`` does.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -129,49 +131,62 @@ def _bessel_miller_grid(n, x):
     return out
 
 
-def _check_argument(x_abs):
-    """Refuse arguments whose sideband cut would exceed MAX_ORDER."""
-    if default_cutoff(x_abs) > MAX_ORDER:
-        raise ValueError(f"|x| = {float(x_abs)!r} needs a sideband cut above "
-                         f"MAX_ORDER = {MAX_ORDER}")
+def _guard(n, x, lowest=-MAX_ORDER, name="order"):
+    """The order n as an int and x as a float array, after refusing an n
+    that is not an integer in [lowest, MAX_ORDER], or an x that is not
+    finite or whose sideband cut default_cutoff(max |x|) exceeds MAX_ORDER."""
+    if not (isinstance(n, numbers.Integral) or float(n).is_integer()):  # refuses nan, inf
+        raise ValueError(f"{name} must be an integer, got {n}")
+    order = int(n)
+    if not lowest <= order <= MAX_ORDER:
+        raise ValueError(f"{name} must be in [{lowest}, {MAX_ORDER}], got {n}")
+    x = np.asarray(x, dtype=float)
+    if x.size:  # the largest |x|, or the first NaN; a number is its own
+        extreme = float(x) if x.ndim == 0 else float(x.flat[np.abs(x).argmax()])
+        if default_cutoff(extreme) > MAX_ORDER:
+            raise ValueError(f"|x| = {abs(extreme)!r} needs a sideband cut above "
+                             f"MAX_ORDER = {MAX_ORDER}")
+    return order, x
 
 
-def _checked_call(order, x) -> float:
-    """The argument x as a float, after refusing an order outside
-    [0, MAX_ORDER] or an x that is not finite or needs too long a cut."""
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"nmax must be in [0, {MAX_ORDER}], got {order}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    _check_argument(abs(x))
-    return x
+def bessel_j(n, x):
+    """Bessel function of the first kind J_n(x), integer order.
 
-
-def bessel_j(n, x) -> float:
-    """Bessel function of the first kind, integer order.
-
-    ``J_{-n}(x) = (-1)^n J_n(x)`` holds exactly (same float, flipped sign);
-    relative accuracy is ~1e-14 throughout the tested range |x| <= 100.
-    Equal bit for bit to ``bessel_j_sequence(|n|, x)[|n|]`` with that sign:
-    below SERIES_X_MAX only the order-|n| series runs.
+    ``x`` is a number (J_n is a float) or a 1-d array (J_n is the array,
+    each element bit for bit the number's call), as in
+    ``modulation_index``.  Below SERIES_X_MAX only the order-|n| series
+    runs; a number above it takes ``bessel_j_sequence(|n|, x)[|n|]``, and
+    the array's other elements share one Miller recurrence in which each
+    keeps its own start, norm and scale.  ``J_{-n}(x) = (-1)^n J_n(x)``
+    holds exactly (same float, flipped sign); relative accuracy is ~1e-14
+    throughout the tested range |x| <= 100.
     """
-    n = int(n)
+    n, x = _guard(n, x)
+    if x.ndim > 1:
+        raise ValueError(f"argument must be a number or a 1-d array, got shape {x.shape}")
     order = abs(n)
-    x = _checked_call(order, x)
-    ax = abs(x)
-    if ax < SERIES_X_MAX:
-        val = _bessel_series(order, ax)
+    if x.ndim == 0:
+        x = float(x)
+        ax = abs(x)
+        val = (_bessel_series(order, ax) if ax < SERIES_X_MAX
+               else float(_bessel_miller(order, ax)[order]))
     else:
-        val = float(_bessel_miller(order, ax)[order])
-    # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n; both flips cancel exactly
-    return -val if order % 2 and (x < 0.0) != (n < 0) else val
+        ax = np.abs(x)
+        val = np.empty(x.size)
+        series = ax < SERIES_X_MAX
+        val[series] = [_bessel_series(order, v) for v in ax[series].tolist()]
+        if not series.all():
+            val[~series] = _bessel_miller_grid(order, ax[~series])
+    if order % 2:  # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n; both flips cancel
+        flip = (x < 0.0) != (n < 0)  # a bool, or a bool array
+        val = val * (1.0 - 2.0 * flip)  # times -1.0 or 1.0: exact
+    return val
 
 
 def bessel_j_sequence(nmax, x) -> np.ndarray:
     """J_0(x) .. J_nmax(x) in one pass (negative orders follow by parity)."""
-    nmax = int(nmax)
-    x = _checked_call(nmax, x)
+    nmax, x = _guard(nmax, x, 0, "nmax")
+    x = float(x)
     if abs(x) < SERIES_X_MAX:
         vals = np.array([_bessel_series(n, abs(x)) for n in range(nmax + 1)])
     else:
@@ -179,38 +194,6 @@ def bessel_j_sequence(nmax, x) -> np.ndarray:
     if x < 0.0:
         vals[1::2] *= -1.0
     return vals
-
-
-def bessel_j_grid(n, x) -> np.ndarray:
-    """J_n(x) for one integer order over a 1-d array of arguments.
-
-    Equal to ``bessel_j(n, x_i)`` bit for bit at every element: |x| below
-    SERIES_X_MAX takes the same power series, the rest share one Miller
-    recurrence in which each element keeps its own start, norm and scale.
-    """
-    n = int(n)
-    order = abs(n)
-    if order > MAX_ORDER:
-        raise ValueError(f"order must be in [-{MAX_ORDER}, {MAX_ORDER}], got {n}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"arguments must be a 1-d array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("arguments must be finite")
-    ax = np.abs(x)
-    out = np.empty(x.size)
-    if x.size == 0:
-        return out
-    _check_argument(ax.max())
-    series = ax < SERIES_X_MAX
-    out[series] = [_bessel_series(order, v) for v in ax[series].tolist()]
-    if not series.all():
-        out[~series] = _bessel_miller_grid(order, ax[~series])
-    if order % 2:  # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n
-        out[x < 0.0] *= -1.0
-        if n < 0:
-            out = -out
-    return out
 
 
 def modulation_index(omega, gamma, T):
@@ -248,8 +231,11 @@ def modulation_index(omega, gamma, T):
 
 
 def default_cutoff(mu) -> int:
-    """Sideband truncation M = ceil(|mu|) + 30 used by the scans."""
-    return int(math.ceil(abs(float(mu)))) + CUTOFF_PAD
+    """Sideband truncation M = ceil(|mu|) + 30 used by the scans (mu finite)."""
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise ValueError(f"argument must be finite, got {mu}")
+    return int(math.ceil(abs(mu))) + CUTOFF_PAD
 
 
 def unrestricted_occupations(mu) -> np.ndarray:

@@ -358,11 +358,10 @@ def registry(level: str) -> dict[str, Callable]:
     raise ValueError(f"unknown verify level {level!r} (want quick or full)")
 
 
-def run_checks(level: str, checks=None) -> list[CheckResult]:
-    """Run the named suite (or an explicit registry) and collect results."""
-    checks = registry(level) if checks is None else checks
+def run_checks(level: str) -> list[CheckResult]:
+    """Run the named suite and collect results."""
     results = []
-    for name, func in checks.items():
+    for name, func in registry(level).items():
         tol, measured = func()
         results.append(CheckResult(name=name, tolerance=float(tol),
                                    measured=float(measured),

@@ -498,17 +498,15 @@ class TestVerifyCommand:
         assert "PASS su2-algebra" in text
         assert "FAIL" not in text
 
-    def test_corrupted_invariant_fails_named(self, capsys):
+    def test_corrupted_invariant_fails_named(self, capsys, monkeypatch):
         # negative control: a sign flip in a check fixture must surface as
         # exit 1 with the failing invariant named
-        checks = dict(verify.QUICK_CHECKS)
-
         def flipped():
             tol, _ = verify.check_exact_revival()
             return tol, 1.0  # a sign flip leaves a unit-size residual
 
-        checks["exact-revival"] = flipped
-        rc = cli.cmd_verify("quick", checks=checks)
+        monkeypatch.setitem(verify.QUICK_CHECKS, "exact-revival", flipped)
+        rc = cli.main(["verify", "quick"])
         text = capsys.readouterr().out
         assert rc == 1
         assert "FAIL exact-revival" in text

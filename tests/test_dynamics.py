@@ -189,6 +189,7 @@ class TestCentralColumn:
         assert occ.shape == (grid.size, 2 * S + 1)
         for g, row in zip(grid.tolist(), occ):
             assert np.array_equal(row, central_column_sq(params(S=S), [g])[0])
+            assert np.array_equal(row, central_column_sq(params(S=S), g))
             assert np.array_equal(row, mode_occupations(params(S=S, gamma=g), 1.0))
 
     @pytest.mark.parametrize("S", [3, 40])

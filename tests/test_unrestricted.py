@@ -10,7 +10,6 @@ from eomod.su2 import ModulatorParams
 from eomod.unrestricted import (
     MAX_ORDER,
     bessel_j,
-    bessel_j_grid,
     bessel_j_sequence,
     default_cutoff,
     modulation_index,
@@ -71,6 +70,37 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j(0, math.inf)
 
+    @pytest.mark.parametrize("n", [2.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_non_integer_order_refused(self, n):
+        # int() would truncate 2.5 to 2, and overflow or fail on nan and inf
+        for call in (lambda: bessel_j(n, 1.0), lambda: bessel_j(n, [1.0, 3.0]),
+                     lambda: bessel_j_sequence(n, 1.0)):
+            with pytest.raises(ValueError, match=f"must be an integer, got {n}"):
+                call()
+
+    def test_integral_float_order_accepted(self):
+        assert _bits(bessel_j(3.0, 2.5)) == _bits(bessel_j(3, 2.5))
+        assert _bits(bessel_j(np.int64(-3), 2.5)) == _bits(bessel_j(-3, 2.5))
+
+    def test_negative_nmax_refused(self):
+        with pytest.raises(ValueError, match=r"nmax must be in \[0, "):
+            bessel_j_sequence(-1, 1.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_refused(self, x):
+        for call in (lambda: bessel_j(1, x), lambda: bessel_j(1, [0.5, x, 3.0]),
+                     lambda: bessel_j_sequence(4, x), lambda: unrestricted_occupations(x)):
+            with pytest.raises(ValueError, match=f"must be finite, got {x}"):
+                call()
+
+    @pytest.mark.parametrize("x", [0.7, -0.7, 3.3, -41.0])
+    def test_numpy_number_returns_float(self, x):
+        for arg in (np.float64(x), np.array(x)):
+            for n in (0, 3, -5):
+                val = bessel_j(n, arg)
+                assert type(val) is float
+                assert _bits(val) == _bits(bessel_j(n, x))
+
     def test_argument_bound(self):
         # the largest |x| whose sideband cut default_cutoff(x) fits MAX_ORDER
         edge = float(MAX_ORDER - default_cutoff(0.0))
@@ -78,7 +108,7 @@ class TestBessel:
             with pytest.raises(ValueError, match="MAX_ORDER"):
                 bessel_j_sequence(0, x)
             with pytest.raises(ValueError, match="MAX_ORDER"):
-                bessel_j_grid(0, [1.0, x])
+                bessel_j(0, [1.0, x])
         assert default_cutoff(edge) == MAX_ORDER
 
 
@@ -87,7 +117,7 @@ def _bits(values):
 
 
 class TestBesselGrid:
-    """bessel_j_grid is the scalar bessel_j run on many arguments at once."""
+    """bessel_j on a 1-d array is its number call run on each element."""
 
     # seeded: the Miller range both signs, the series range, the switch at
     # |x| = 2, signed zeros, and x = 2.5 at order 120, where the unnormalised
@@ -101,17 +131,17 @@ class TestBesselGrid:
     @pytest.mark.parametrize("n", [*range(0, 41), -1, -2, -7, -40, 120, -121])
     def test_equals_scalar_bitwise(self, n):
         expected = [bessel_j(n, x) for x in self.X.tolist()]
-        assert np.array_equal(_bits(bessel_j_grid(n, self.X)), _bits(expected))
+        assert np.array_equal(_bits(bessel_j(n, self.X)), _bits(expected))
 
     def test_equals_scalar_when_every_step_rescales(self, monkeypatch):
         monkeypatch.setattr(unrestricted, "_RESCALE_LIMIT", 1e10)
         for n in (0, 3, -5, 40):
             expected = [bessel_j(n, x) for x in self.X.tolist()]
-            assert np.array_equal(_bits(bessel_j_grid(n, self.X)), _bits(expected))
+            assert np.array_equal(_bits(bessel_j(n, self.X)), _bits(expected))
 
     @staticmethod
     def rescaled_indices(monkeypatch, n, x):
-        """bessel_j_grid(n, x) and the sorted-order indices it rescales, one
+        """bessel_j(n, x) on an array and the sorted-order indices it rescales, one
         entry per rescale: the grid finds the elements past the limit with
         one np.flatnonzero per step that rescales."""
         calls = []
@@ -126,7 +156,7 @@ class TestBesselGrid:
 
         with monkeypatch.context() as m:
             m.setattr(unrestricted, "np", Spy())
-            out = bessel_j_grid(n, x)
+            out = bessel_j(n, x)
         return out, np.concatenate([[], *calls]).astype(int)
 
     def test_order_80_rescales_each_element_once(self, monkeypatch):
@@ -146,12 +176,13 @@ class TestBesselGrid:
             assert np.array_equal(_bits(out), _bits([bessel_j(n, v) for v in x.tolist()]))
 
     def test_input_guards(self):
-        assert bessel_j_grid(3, []).shape == (0,)
-        for bad in ([1.0, math.nan], [[1.0]]):
-            with pytest.raises(ValueError):
-                bessel_j_grid(0, bad)
+        assert bessel_j(3, []).shape == (0,)
+        for bad, match in (([1.0, math.nan], "finite, got nan"), ([[1.0]], r"shape \(1, 1\)"),
+                           (np.ones((2, 2)), r"shape \(2, 2\)")):
+            with pytest.raises(ValueError, match=match):
+                bessel_j(0, bad)
         with pytest.raises(ValueError):
-            bessel_j_grid(MAX_ORDER + 1, [1.0])
+            bessel_j(MAX_ORDER + 1, [1.0])
 
 
 class TestModulationIndex:
