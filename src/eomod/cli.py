@@ -23,7 +23,10 @@ Its entries are the ``path`` column of ``_INPUTS``; beside those below are
 Any other key, or a value of the wrong kind, exits 2 with the entry named,
 as does a file that sets both ``detune`` and ``omega_mw`` or both ``t`` and
 ``"period_t": true``.  ``null`` leaves an entry unset (``false`` does too for
-``period_t``), but a section or a grid must be an object.
+``period_t``), but a section or a grid must be an object.  Both grids are
+type-checked, but each command range-checks only the one it reads: ``scan``
+for ``spectrum``, ``gamma_grid`` for ``gamma-scan``.  ``figures`` reads no
+config file.
 
 Frequency axes are written in display units of ``Omega/30`` unless
 ``--absolute`` is given.  Every data file gets a ``*.manifest.json``
@@ -37,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -124,13 +127,16 @@ _BY_PATH = {tuple(inp.path.split(".")): inp for inp in _INPUTS}
 _SECTIONS = {path[0] for path in _BY_PATH if len(path) > 1}
 _GRID_PARTS = ("start", "stop", "step")
 _JSON_TYPES = {float: (int, float, str), int: (int,), bool: (bool,), str: (str,)}
+_GRIDS = {command: inp.name for inp in _INPUTS if inp.kind is GridSpec
+          for command in inp.commands}  # the grid input each command reads
 
 
 @dataclass(frozen=True)
 class RunConfig:
     params: ModulatorParams
     filter: FilterSpec
-    scan: GridSpec
+    grid: GridSpec  # the command's own grid: scan or gamma_grid
+    dm: int
     model: str
     out: str | None
     format: str
@@ -230,7 +236,7 @@ def _merge(layers) -> dict:
     return merged
 
 
-def _build_config(merged) -> RunConfig:
+def _build_config(merged, command) -> RunConfig:
     omega = float(merged["omega"])
     if not (omega > 0.0 and math.isfinite(omega)):  # before T = 2 pi / omega
         raise ValueError(f"omega must be positive and finite, got {omega}")
@@ -253,7 +259,8 @@ def _build_config(merged) -> RunConfig:
         raise ValueError(f"display_unit must be positive and finite, got {display_unit}")
     return RunConfig(params=params,
                      filter=FilterSpec(half_width=float(merged["filter_hw"])),
-                     scan=_parse_grid(merged["scan"]),
+                     grid=_parse_grid(merged[_GRIDS[command]]),
+                     dm=int(merged["dm"]),
                      model=merged["model"],
                      out=merged.get("out"),
                      format=merged["format"],
@@ -261,7 +268,7 @@ def _build_config(merged) -> RunConfig:
                      absolute=bool(merged["absolute"]))
 
 
-def _manifest(cfg: RunConfig, command, extra=None) -> dict:
+def _manifest(cfg: RunConfig, command) -> dict:
     p = cfg.params
     doc = {
         "command": command,
@@ -280,20 +287,24 @@ def _manifest(cfg: RunConfig, command, extra=None) -> dict:
         "display_unit": cfg.display_unit,
         "absolute": cfg.absolute,
         "format": cfg.format,
+        _GRIDS[command]: asdict(cfg.grid),
     }
-    if extra:
-        doc.update(extra)
+    if command == "gamma-scan":
+        doc["dm"] = cfg.dm
     return doc
 
 
-def _write_dataset(cfg_out, fmt, header, columns, manifest):
-    """Write CSV/JSON plus the manifest sidecar; stdout when no path given."""
+def _write_dataset(cfg_out, fmt, columns, manifest):
+    """Write the named columns as CSV/JSON plus the manifest sidecar; stdout
+    when no path given."""
+    header = list(columns)
+    columns = [np.asarray(col, dtype=float) for col in columns.values()]
     if fmt == "csv":  # "%.11e" renders every float as FLOAT_FMT does, byte for byte
-        table = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+        table = np.column_stack(columns)
         line = ",".join(["%.11e"] * len(header)) + "\n"
         text = ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
     else:
-        rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+        rows = zip(*(col.tolist() for col in columns))
         data = [{h: float(FLOAT_FMT.format(v)) for h, v in zip(header, row)}
                 for row in rows]
         text = json.dumps({"config": manifest, "data": data},
@@ -308,8 +319,8 @@ def _write_dataset(cfg_out, fmt, header, columns, manifest):
                        encoding="utf-8", newline="\n")
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    offsets_display = cfg.scan.values()
+def _spectrum(cfg: RunConfig) -> dict:
+    offsets_display = cfg.grid.values()
     edge = float(max(-offsets_display[0], offsets_display[-1]))
     carrier = cfg.params.omega_opt if cfg.absolute else 0.0
     if not math.isfinite(edge * cfg.display_unit + carrier):
@@ -320,69 +331,51 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                                              cfg.model)
     axis_name = "omega_f_absolute" if cfg.absolute else "omega_f_display"
     axis = (cfg.params.omega_opt + offsets_abs) if cfg.absolute else offsets_display
-    header = [axis_name]
-    columns = [axis]
-    for name, curve in (("p_rel_restricted", restricted),
-                        ("p_rel_unrestricted", unrestricted)):
-        if curve is not None:  # None: the model was not asked for
-            header.append(name)
-            columns.append(curve)
-    manifest = _manifest(cfg, "spectrum", {
-        "scan": {"start": cfg.scan.start, "stop": cfg.scan.stop,
-                 "step": cfg.scan.step},
-    })
-    _write_dataset(cfg.out, cfg.format, header, columns, manifest)
-    return 0
+    return {axis_name: axis, "p_rel_restricted": restricted,
+            "p_rel_unrestricted": unrestricted}
 
 
-def cmd_gamma_scan(cfg: RunConfig, dm, gamma_grid) -> int:
-    dm = int(dm)
-    gg = _parse_grid(gamma_grid)
-    grid = gg.values()
-    header = ["gamma"]
-    columns = [grid]
+def _gamma_scan(cfg: RunConfig) -> dict:
+    p, dm, gammas = cfg.params, cfg.dm, cfg.grid.values()
+    restricted = unrestricted = None
     if cfg.model in ("restricted", "both"):
-        if abs(dm) > cfg.params.S:  # S bounds only the restricted model's modes
-            raise ValueError(f"|dm|={abs(dm)} exceeds S={cfg.params.S}")
-        occ = central_column_sq(cfg.params, grid)
-        header.append("p_restricted")
-        columns.append(occ[:, occ.shape[1] // 2 + dm])
+        if abs(dm) > p.S:  # S bounds only the restricted model's modes
+            raise ValueError(f"|dm|={abs(dm)} exceeds S={p.S}")
+        occ = central_column_sq(p, gammas)
+        restricted = occ[:, occ.shape[1] // 2 + dm]
     if cfg.model in ("unrestricted", "both"):
-        p = cfg.params
-        header.append("p_unrestricted")
-        columns.append(bessel_j(dm, modulation_index(p.omega, grid, p.T)) ** 2)
-    manifest = _manifest(cfg, "gamma-scan", {
-        "dm": dm,
-        "gamma_grid": {"start": gg.start, "stop": gg.stop, "step": gg.step},
-    })
-    _write_dataset(cfg.out, cfg.format, header, columns, manifest)
+        unrestricted = bessel_j(dm, modulation_index(p.omega, gammas, p.T)) ** 2
+    return {"gamma": gammas, "p_restricted": restricted, "p_unrestricted": unrestricted}
+
+
+_COMPUTE = {"spectrum": _spectrum, "gamma-scan": _gamma_scan}
+
+
+def _run(command, layers) -> int:
+    """Merge the input layers over DEFAULTS, compute the command's named
+    columns and write them with the manifest."""
+    cfg = _build_config(_merge(layers), command)
+    columns = {name: col for name, col in _COMPUTE[command](cfg).items()
+               if col is not None}  # None: the model was not asked for
+    _write_dataset(cfg.out, cfg.format, columns, _manifest(cfg, command))
     return 0
 
 
-# figure presets: the reference parameter set with per-figure coupling
+# figure presets: the command and its inputs over the reference parameter set
 _FIGURES = {
-    1: {"kind": "spectrum", "gamma": 2.0},
-    2: {"kind": "spectrum", "gamma": 10.0},
-    3: {"kind": "spectrum", "gamma": 24.25},
-    4: {"kind": "gamma-scan", "dm": 0},
-    5: {"kind": "gamma-scan", "dm": 2},
+    1: ("spectrum", {"gamma": 2.0}),
+    2: ("spectrum", {"gamma": 10.0}),
+    3: ("spectrum", {"gamma": 24.25}),
+    4: ("gamma-scan", {"dm": 0}),
+    5: ("gamma-scan", {"dm": 2}),
 }
 
 
 def cmd_figures(selector, out_dir) -> int:
-    selector = int(selector)
-    if selector not in _FIGURES:
-        raise ValueError(f"figure selector must be 1..5, got {selector}")
-    preset = _FIGURES[selector]
+    command, preset = _FIGURES[selector]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    merged = _merge([])  # the reference parameter set, nothing overridden
-    if preset["kind"] == "spectrum":
-        merged["gamma"] = preset["gamma"]
-    cfg = replace(_build_config(merged), out=str(out_dir / f"fig{selector}.csv"))
-    if preset["kind"] == "spectrum":
-        return cmd_spectrum(cfg)
-    return cmd_gamma_scan(cfg, preset["dm"], DEFAULTS["gamma_grid"])
+    return _run(command, [{**preset, "out": str(out_dir / f"fig{selector}.csv")}])
 
 
 def cmd_verify(level) -> int:
@@ -467,11 +460,7 @@ def main(argv=None) -> int:
             return cmd_verify(args.level)
         if args.command == "figures":
             return cmd_figures(args.selector, args.out_dir)
-        merged = _merge([_load_config_file(), _cli_layer(args)])
-        cfg = _build_config(merged)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        return cmd_gamma_scan(cfg, merged["dm"], merged["gamma_grid"])
+        return _run(args.command, [_load_config_file(), _cli_layer(args)])
     except (ValueError, KeyError) as exc:
         print(f"eomod: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -132,20 +132,20 @@ def _bessel_miller_grid(n, x):
 
 
 def _guard(n, x, lowest=-MAX_ORDER, name="order"):
-    """The order n as an int and x as a float array, after refusing an n
-    that is not an integer in [lowest, MAX_ORDER], or an x that is not
-    finite or whose sideband cut default_cutoff(max |x|) exceeds MAX_ORDER."""
-    if not (isinstance(n, numbers.Integral) or float(n).is_integer()):  # refuses nan, inf
-        raise ValueError(f"{name} must be an integer, got {n}")
-    order = int(n)
-    if not lowest <= order <= MAX_ORDER:
-        raise ValueError(f"{name} must be in [{lowest}, {MAX_ORDER}], got {n}")
+    """n as an int and x as a float array, after refusing an x that is not finite or
+    whose sideband cut default_cutoff(max |x|) exceeds MAX_ORDER (so an nmax read off
+    that cut gets this reason), then an n not an integer in [lowest, MAX_ORDER]."""
     x = np.asarray(x, dtype=float)
     if x.size:  # the largest |x|, or the first NaN; a number is its own
         extreme = float(x) if x.ndim == 0 else float(x.flat[np.abs(x).argmax()])
         if default_cutoff(extreme) > MAX_ORDER:
             raise ValueError(f"|x| = {abs(extreme)!r} needs a sideband cut above "
                              f"MAX_ORDER = {MAX_ORDER}")
+    if not (isinstance(n, numbers.Integral) or float(n).is_integer()):  # refuses nan, inf
+        raise ValueError(f"{name} must be an integer, got {n}")
+    order = int(n)
+    if not lowest <= order <= MAX_ORDER:
+        raise ValueError(f"{name} must be in [{lowest}, {MAX_ORDER}], got {n}")
     return order, x
 
 

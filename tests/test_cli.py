@@ -210,7 +210,7 @@ class TestWriteDataset:
         values = np.concatenate([bits.view(np.float64), special * 3])
         columns = [values[0::3], values[1::3], values[2::3]]
         out = tmp_path / "t.csv"
-        cli._write_dataset(str(out), "csv", ["a", "b", "c"], columns, {})
+        cli._write_dataset(str(out), "csv", dict(zip("abc", columns)), {})
         expected = "a,b,c\n" + "".join(
             ",".join(cli.FLOAT_FMT.format(v) for v in row) + "\n"
             for row in zip(*(col.tolist() for col in columns)))
@@ -274,6 +274,16 @@ class TestGammaScan:
             assert run(argv) == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--gamma", "1e7", "--model", "unrestricted", "--scan=0:1:1"],
+        ["gamma-scan", "--model", "unrestricted", "--dm", "0", "--gamma-grid", "0:1e7:5e6"],
+    ], ids=["spectrum", "gamma-scan"])
+    def test_mu_beyond_max_order_same_reason(self, argv, capsys):
+        # a spectrum's cut M = default_cutoff(mu) is refused for mu, not as an order
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "needs a sideband cut above MAX_ORDER" in err and "nmax" not in err
+
     def test_negative_dm_flag(self, tmp_path):
         out = tmp_path / "g.csv"
         assert run(["gamma-scan", "--dm", "-2", "--gamma-grid", "0:1:1",
@@ -316,6 +326,24 @@ class TestFigures:
 
     def test_bad_selector_exit2(self, tmp_path):
         assert run(["figures", "9", "--out-dir", str(tmp_path)]) == 2
+
+    def test_config_file_ignored(self, tmp_path, monkeypatch):
+        # presets read no EOM_CONFIG: not its params, sideband, grid, format or path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "params": {"gamma": 7, "s": 2}, "dm": 1,
+            "gamma_grid": {"start": 0, "stop": 5, "step": 1},
+            "output": {"format": "json", "path": "x.csv"}}))
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for name, config in (("plain", ""), ("file", str(cfg))):
+            monkeypatch.setenv("EOM_CONFIG", config)  # empty: no config file
+            for n in (2, 5):
+                assert run(["figures", str(n), "--out-dir", name]) == 0
+            outputs.append([(tmp_path / name / f"fig{n}.csv{suffix}").read_bytes()
+                            for n in (2, 5) for suffix in ("", ".manifest.json")])
+        assert outputs[0] == outputs[1]
+        assert not list(tmp_path.rglob("x.csv"))
 
 
 class TestConfigFile:
@@ -416,6 +444,24 @@ class TestConfigFile:
         assert "must be" in err
         entry = request.node.callspec.id.split("-")[0]  # drop the case suffix
         assert entry.startswith("doc") or f"'{entry}'" in err
+
+    @pytest.mark.parametrize("command,entry,flag", [
+        ("gamma-scan", "scan", "--gamma-grid=0:3:1"),
+        ("spectrum", "gamma_grid", "--scan=0:2:1"),
+    ])
+    def test_unread_grid_not_range_checked(self, tmp_path, monkeypatch, command, entry,
+                                           flag):
+        # each command range-checks only its own grid; the other is type-checked
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({entry: {"start": 3, "stop": -3, "step": 1}}))
+        outputs = []
+        for name, config in (("plain", ""), ("file", str(cfg))):
+            monkeypatch.setenv("EOM_CONFIG", config)  # empty: no config file
+            out = tmp_path / f"{name}.csv"
+            assert run([command, flag, "--out", str(out)]) == 0
+            outputs.append([out.read_bytes(),
+                            out.with_name(out.name + ".manifest.json").read_bytes()])
+        assert outputs[0] == outputs[1]
 
     def test_numeric_string_entries(self, tmp_path, monkeypatch, capsys):
         # a string that converts is read as its number; "1e400" then meets
