@@ -29,9 +29,11 @@ for ``spectrum``, ``gamma_grid`` for ``gamma-scan``.  ``figures`` reads no
 config file.
 
 Frequency axes are written in display units of ``Omega/30`` unless
-``--absolute`` is given.  Every data file gets a ``*.manifest.json``
-sidecar echoing the effective merged configuration.  Exit codes: 0 ok,
-1 verification failure, 2 invalid parameters, 3 output I/O failure.
+``--absolute`` is given.  The resolved inputs form one manifest: the
+compute step reads its model, axis and sideband entries, and every data
+file gets it as a ``*.manifest.json`` sidecar (a JSON file also as its
+``config`` block).  Exit codes: 0 ok, 1 verification failure, 2 invalid
+parameters, 3 output I/O failure.
 """
 
 import argparse
@@ -131,19 +133,6 @@ _GRIDS = {command: inp.name for inp in _INPUTS if inp.kind is GridSpec
           for command in inp.commands}  # the grid input each command reads
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: ModulatorParams
-    filter: FilterSpec
-    grid: GridSpec  # the command's own grid: scan or gamma_grid
-    dm: int
-    model: str
-    out: str | None
-    format: str
-    display_unit: float
-    absolute: bool
-
-
 def _parse_grid(text) -> GridSpec:
     """A (start, stop, step) tuple (defaults, config file) or a flag's string."""
     parts = text if isinstance(text, tuple) else text.split(":")
@@ -236,7 +225,10 @@ def _merge(layers) -> dict:
     return merged
 
 
-def _build_config(merged, command) -> RunConfig:
+def _build_config(merged, command):
+    """Check the merged inputs and resolve them into the model parameters, the
+    filter, the command's grid and the manifest: the run's one record of its
+    inputs, which the compute step reads and the output echoes."""
     omega = float(merged["omega"])
     if not (omega > 0.0 and math.isfinite(omega)):  # before T = 2 pi / omega
         raise ValueError(f"omega must be positive and finite, got {omega}")
@@ -249,7 +241,7 @@ def _build_config(merged, command) -> RunConfig:
     # _merge leaves exactly one of detune and omega_mw set
     detune = (float(merged["detune"]) if merged["omega_mw"] is None
               else omega - float(merged["omega_mw"]))
-    params = ModulatorParams.from_detuning(
+    p = ModulatorParams.from_detuning(
         S=float(merged["s"]), Omega=omega, detune=detune,
         gamma=float(merged["gamma"]), T=t_val, m_tilde=float(merged["m_tilde"]))
     display_unit = merged.get("display_unit")
@@ -257,41 +249,23 @@ def _build_config(merged, command) -> RunConfig:
                     else float(display_unit))
     if not (display_unit > 0.0 and math.isfinite(display_unit)):
         raise ValueError(f"display_unit must be positive and finite, got {display_unit}")
-    return RunConfig(params=params,
-                     filter=FilterSpec(half_width=float(merged["filter_hw"])),
-                     grid=_parse_grid(merged[_GRIDS[command]]),
-                     dm=int(merged["dm"]),
-                     model=merged["model"],
-                     out=merged.get("out"),
-                     format=merged["format"],
-                     display_unit=display_unit,
-                     absolute=bool(merged["absolute"]))
-
-
-def _manifest(cfg: RunConfig, command) -> dict:
-    p = cfg.params
-    doc = {
+    filt = FilterSpec(half_width=float(merged["filter_hw"]))
+    grid = _parse_grid(merged[_GRIDS[command]])
+    manifest = {
         "command": command,
         "version": __version__,
-        "params": {
-            "s": p.S,
-            "omega": p.Omega,
-            "omega_mw": p.OmegaMW,
-            "detune": p.omega,
-            "gamma": p.gamma,
-            "t": p.T,
-            "m_tilde": p.m_tilde,
-        },
-        "filter": {"half_width": cfg.filter.half_width},
-        "model": cfg.model,
-        "display_unit": cfg.display_unit,
-        "absolute": cfg.absolute,
-        "format": cfg.format,
-        _GRIDS[command]: asdict(cfg.grid),
+        "params": {"s": p.S, "omega": p.Omega, "omega_mw": p.OmegaMW, "detune": p.omega,
+                   "gamma": p.gamma, "t": p.T, "m_tilde": p.m_tilde},
+        "filter": {"half_width": filt.half_width},
+        "model": merged["model"],
+        "display_unit": display_unit,
+        "absolute": bool(merged["absolute"]),
+        "format": merged["format"],
+        _GRIDS[command]: asdict(grid),
     }
     if command == "gamma-scan":
-        doc["dm"] = cfg.dm
-    return doc
+        manifest["dm"] = int(merged["dm"])
+    return p, filt, grid, manifest
 
 
 def _write_dataset(cfg_out, fmt, columns, manifest):
@@ -319,31 +293,31 @@ def _write_dataset(cfg_out, fmt, columns, manifest):
                        encoding="utf-8", newline="\n")
 
 
-def _spectrum(cfg: RunConfig) -> dict:
-    offsets_display = cfg.grid.values()
+def _spectrum(p, filt, grid, manifest) -> dict:
+    offsets_display = grid.values()
     edge = float(max(-offsets_display[0], offsets_display[-1]))
-    carrier = cfg.params.omega_opt if cfg.absolute else 0.0
-    if not math.isfinite(edge * cfg.display_unit + carrier):
+    absolute, unit = manifest["absolute"], manifest["display_unit"]
+    carrier = p.omega_opt if absolute else 0.0
+    if not math.isfinite(edge * unit + carrier):
         raise ValueError(f"absolute filter offsets overflow: scan edge {edge} x display "
-                         f"unit {cfg.display_unit} + carrier {carrier}")
-    offsets_abs = offsets_display * cfg.display_unit
-    restricted, unrestricted = spectral_scan(cfg.params, cfg.filter, offsets_abs,
-                                             cfg.model)
-    axis_name = "omega_f_absolute" if cfg.absolute else "omega_f_display"
-    axis = (cfg.params.omega_opt + offsets_abs) if cfg.absolute else offsets_display
+                         f"unit {unit} + carrier {carrier}")
+    offsets_abs = offsets_display * unit
+    restricted, unrestricted = spectral_scan(p, filt, offsets_abs, manifest["model"])
+    axis_name = "omega_f_absolute" if absolute else "omega_f_display"
+    axis = (p.omega_opt + offsets_abs) if absolute else offsets_display
     return {axis_name: axis, "p_rel_restricted": restricted,
             "p_rel_unrestricted": unrestricted}
 
 
-def _gamma_scan(cfg: RunConfig) -> dict:
-    p, dm, gammas = cfg.params, cfg.dm, cfg.grid.values()
+def _gamma_scan(p, filt, grid, manifest) -> dict:
+    dm, model, gammas = manifest["dm"], manifest["model"], grid.values()
     restricted = unrestricted = None
-    if cfg.model in ("restricted", "both"):
+    if model in ("restricted", "both"):
         if abs(dm) > p.S:  # S bounds only the restricted model's modes
             raise ValueError(f"|dm|={abs(dm)} exceeds S={p.S}")
         occ = central_column_sq(p, gammas)
         restricted = occ[:, occ.shape[1] // 2 + dm]
-    if cfg.model in ("unrestricted", "both"):
+    if model in ("unrestricted", "both"):
         unrestricted = bessel_j(dm, modulation_index(p.omega, gammas, p.T)) ** 2
     return {"gamma": gammas, "p_restricted": restricted, "p_unrestricted": unrestricted}
 
@@ -354,10 +328,11 @@ _COMPUTE = {"spectrum": _spectrum, "gamma-scan": _gamma_scan}
 def _run(command, layers) -> int:
     """Merge the input layers over DEFAULTS, compute the command's named
     columns and write them with the manifest."""
-    cfg = _build_config(_merge(layers), command)
-    columns = {name: col for name, col in _COMPUTE[command](cfg).items()
+    merged = _merge(layers)
+    *inputs, manifest = _build_config(merged, command)
+    columns = {name: col for name, col in _COMPUTE[command](*inputs, manifest).items()
                if col is not None}  # None: the model was not asked for
-    _write_dataset(cfg.out, cfg.format, columns, _manifest(cfg, command))
+    _write_dataset(merged["out"], manifest["format"], columns, manifest)
     return 0
 
 

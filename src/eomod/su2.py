@@ -16,7 +16,7 @@ import numpy as np
 
 
 # largest spin any layer accepts: 2S+1 = 2001 modes; dense (2S+1)^2 matrices
-# beyond it take seconds and hundreds of MB per solve, or fail to allocate
+# beyond it take seconds and hundreds of MB per d-matrix, or fail to allocate
 S_MAX = 1000
 
 

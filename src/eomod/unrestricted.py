@@ -22,9 +22,9 @@ _RESCALE_LIMIT = 1e200
 
 def _bessel_series(n, x):
     """Ascending power series; accurate for |x| < 2, any order."""
-    if n == 0 and x == 0.0:
-        return 1.0
     half = 0.5 * x
+    if n == 0 and half == 0.0:  # x = 0, or x / 2 underflows: J_0 = 1 - x^2 / 4 = 1
+        return 1.0
     log_t0 = n * math.log(abs(half)) - math.lgamma(n + 1) if half != 0.0 else -math.inf
     if log_t0 < -745.0:  # underflows double; the true value is below 1e-323
         return 0.0

@@ -11,8 +11,8 @@ the worst measure over the check's fixed sample; it passes when
 ``measured <= tolerance``.  The quick suite covers the algebra, rotation
 identities, unitarity, revivals and Bessel identities in a few ms; the
 full suite adds the three-route Wigner agreement, the large-spin and
-Jacobi -> Bessel limits and the eigen-residual and orthonormality of the
-S_y eigensystem at S_MAX.
+Jacobi -> Bessel limits, the revivals at Gamma T = k pi off resonance and
+the eigen-residual and orthonormality of the S_y eigensystem at S_MAX.
 """
 
 import math
@@ -78,12 +78,6 @@ def orthogonality_defect(S, theta):
     return float(np.max(np.abs(D @ D.T - np.eye(D.shape[0]))))
 
 
-def row_norm_defect(S, theta):
-    """Largest distance of a row norm of d^S(theta) from 1."""
-    D = wigner.wigner_d_exponential(S, theta)
-    return float(np.max(np.abs(np.sum(D * D, axis=1) - 1.0)))
-
-
 def check_wigner_identities():
     worst = 0.0
     for S in (3.0, 3.5):
@@ -91,8 +85,7 @@ def check_wigner_identities():
         worst = max(worst, np.max(np.abs(d0 - np.eye(d0.shape[0]))),
                     d_pi_defect(S))
         for theta in (0.4, 1.3, 2.8):
-            worst = max(worst, orthogonality_defect(S, theta),
-                        row_norm_defect(S, theta))
+            worst = max(worst, orthogonality_defect(S, theta))
     return 1e-12, float(worst)
 
 
@@ -107,18 +100,38 @@ def check_propagator_unitarity():
                       for gamma in (2.0, 10.0, 24.25))
 
 
+def _central_return_gap(p):
+    """Largest |occupation - delta_{dm,0}|: the distance from the bare central mode."""
+    occ = dynamics.mode_occupations(p, 1.0)
+    occ[occ.size // 2] -= 1.0
+    return float(np.max(np.abs(occ)))
+
+
 def revival_defect(S, frac):
     """Distance from the bare central mode at gamma = Omega(2S+1)/frac, resonant."""
-    p = _fig_params(_OMEGA * (2 * S + 1) / frac, S=S, detune=0.0)
-    occ = dynamics.mode_occupations(p, 1.0)
-    expected = np.zeros(2 * S + 1)
-    expected[S] = 1.0
-    return float(np.max(np.abs(occ - expected)))
+    return _central_return_gap(_fig_params(_OMEGA * (2 * S + 1) / frac, S=S, detune=0.0))
 
 
 def check_exact_revival():
     return 1e-10, max(revival_defect(S, frac)
                       for S in (3, 5) for frac in (8.0, 4.0))
+
+
+def detuned_revival_defect(S, detune, k):
+    """Distance from the bare central mode at gamma_k = ((2S+1)/2) sqrt((k pi/T)^2
+    - omega^2/4), where Gamma T = k pi makes the rotation angle 2 beta~ a multiple
+    of 2 pi at any detuning omega; gamma_k needs k pi/T > |omega|/2."""
+    rabi = k * math.pi / _T
+    if not rabi > abs(detune) / 2.0:
+        raise ValueError(f"k pi/T = {rabi} must exceed |detune|/2 = {abs(detune) / 2.0}")
+    gamma = (2 * S + 1) / 2.0 * math.sqrt(rabi ** 2 - detune ** 2 / 4.0)
+    return _central_return_gap(_fig_params(gamma, S=S, detune=detune))
+
+
+def check_detuned_revival():
+    sample = [(S, detune, k) for S in (3, 50) for detune in (0.1, 7.0, 40.0)
+              for k in (1, 2, 5) if k * math.pi / _T > detune / 2.0]
+    return 1e-12, max(detuned_revival_defect(*case) for case in sample + [(1000, 0.1, 1)])
 
 
 def closed_form_defect(p):
@@ -346,6 +359,7 @@ FULL_EXTRA_CHECKS: dict[str, Callable] = {
     "asymptotic-limit": check_asymptotic_limit,
     "asymptotic-monotone": check_asymptotic_monotone,
     "jacobi-bessel-limit": check_jacobi_bessel_limit,
+    "detuned-revival": check_detuned_revival,
     "sy-eigensystem": check_sy_eigensystem,
 }
 

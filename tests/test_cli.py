@@ -537,6 +537,41 @@ def test_flag_and_config_entry_agree(tmp_path, monkeypatch, inp):
     assert outputs[0] == outputs[1]
 
 
+_DEFAULT_PARAMS = {"s": 3.0, "omega": 30.0, "omega_mw": 30.0 - 0.1, "detune": 0.1,
+                   "gamma": 2.0, "t": 2.0 * math.pi / 30.0, "m_tilde": 0.0}
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (["spectrum", "--model", "restricted", "--absolute", "--display-unit", "2"],
+     {"model": "restricted", "display_unit": 2.0, "absolute": True,
+      "scan": {"start": -60.0, "stop": 60.0, "step": 0.5}}),
+    (["gamma-scan", "--dm", "1", "--gamma-grid", "0:2:1"],
+     {"model": "both", "display_unit": 1.0, "absolute": False,
+      "gamma_grid": {"start": 0.0, "stop": 2.0, "step": 1.0}, "dm": 1}),
+], ids=["spectrum", "gamma-scan"])
+def test_manifest_layout(tmp_path, argv, entries):
+    # the whole sidecar: its keys, the value of each, and the JSON config block
+    out = tmp_path / "o.json"
+    assert run([*argv, "--format", "json", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "o.json.manifest.json").read_text())
+    assert sidecar == {"command": argv[0], "version": cli.__version__,
+                       "params": _DEFAULT_PARAMS, "filter": {"half_width": 4.0},
+                       "format": "json", **entries}
+    assert json.loads(out.read_text())["config"] == sidecar
+
+
+@pytest.mark.parametrize("command", ["spectrum", "gamma-scan"])
+def test_help_lists_every_flag(capsys, command):
+    # argparse renders the help from _INPUTS at run time; a stray % would crash it
+    assert run([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    for inp in cli._INPUTS:
+        if command in inp.commands:
+            assert "--" + inp.name.replace("_", "-") in text
+    assert "[--omega-mw OMEGA_MW | --detune DETUNE]" in text
+    assert "[--t T | --period-t]" in text
+
+
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
         assert run(["verify", "quick"]) == 0

@@ -145,6 +145,24 @@ class TestModeOccupations:
     def test_exact_revival(self, S, frac):
         assert verify.revival_defect(S, frac) < 1e-10
 
+    # Gamma T = k pi at any detuning, where k pi / T = 15 k exceeds |detune| / 2
+    @pytest.mark.parametrize("S, detune, k", [
+        *((S, detune, k) for S in (3, 50) for detune in (0.1, 7.0, 40.0)
+          for k in (1, 2, 5) if 15 * k > detune / 2), (1000, 0.1, 1)])
+    def test_detuned_revival(self, S, detune, k):
+        assert verify.detuned_revival_defect(S, detune, k) <= 1e-12
+
+    def test_detuned_revival_off_gamma_k_fails(self, monkeypatch):
+        # negative control: a coupling 1e-6 off gamma_k leaves the central mode
+        fig_params = verify._fig_params
+        monkeypatch.setattr(verify, "_fig_params",
+                            lambda gamma, **kw: fig_params(gamma * (1 + 1e-6), **kw))
+        assert verify.detuned_revival_defect(50, 7.0, 2) == pytest.approx(1.9e-7, rel=0.05)
+
+    def test_detuned_revival_refuses_k_pi_over_t_below_half_detuning(self):
+        with pytest.raises(ValueError, match="must exceed"):
+            verify.detuned_revival_defect(3, 40.0, 1)
+
     def test_conservation(self):
         for gamma in (2.0, 10.0, 24.25):
             occ = mode_occupations(params(gamma=gamma), 2.7)

@@ -137,8 +137,9 @@ def test_tridiagonal_vs_sturm_oracle(n):
 
 
 # The matrix exponential lives only in the test oracle now (the library
-# forms exp(-i theta S_y) from hermitian_eigen); these pin that oracle to
-# closed forms, so the d-matrix comparison against it stays meaningful.
+# forms exp(-i theta S_y) from the recurrence eigensystem of S_y); these pin
+# that oracle to closed forms, so the d-matrix comparison against it stays
+# meaningful.
 def test_expm_zero_is_identity():
     assert np.array_equal(expm_taylor(np.zeros((4, 4))), np.eye(4))
 

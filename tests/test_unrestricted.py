@@ -27,6 +27,14 @@ class TestBessel:
         for n in (1, 2, 9):
             assert bessel_j(n, 0.0) == 0.0
 
+    def test_smallest_subnormal_argument(self):
+        # x / 2 underflows to 0 at the smallest subnormal; J_0 is still 1
+        for x in (5e-324, -5e-324):
+            assert bessel_j(0, x) == 1.0
+            assert bessel_j_sequence(3, x).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert bessel_j(0, np.array([5e-324, 1e-320])).tolist() == [1.0, 1.0]
+        assert verify.bessel_normalization_defect(5e-324) == 0.0
+
     def test_j1_of_2_vs_series_oracle(self):
         assert abs(bessel_j(1, 2.0) - bessel_series(1, 2.0)) < 1e-12
 

@@ -81,7 +81,8 @@ class TestExponentialRoute:
             assert np.max(np.abs(da @ db - dab)) < 1e-10
 
     def test_row_normalization(self):
-        assert verify.row_norm_defect(3, 1.3) < 1e-12
+        # the diagonal of d d^T - I holds the row norms' distance from 1
+        assert verify.orthogonality_defect(3, 1.3) < 1e-12
 
     # with and without the zero mode, up to the spins of the large-S scans
     @pytest.mark.parametrize("S", [0.5, 1, 3, 3.5, 60, 150])
