@@ -20,10 +20,12 @@ Its entries are the ``path`` column of ``_INPUTS``; beside those below are
      "output": {"path": "out.csv", "format": "csv"},
      "display_unit": null}
 
-Any other key, or a value of the wrong kind, exits 2 with the entry named,
-as does a file that sets both ``detune`` and ``omega_mw`` or both ``t`` and
-``"period_t": true``.  ``null`` leaves an entry unset (``false`` does too for
-``period_t``), but a section or a grid must be an object.  Both grids are
+Any other key, or a value of the wrong kind, exits 2 with the entry named.
+``null``, or ``false`` for a switch (``period_t``, ``absolute``), leaves an
+entry unset, as a switch left off on the command line does: so
+``{"params": {"period_t": false}}`` runs at the default T = 2 pi / Omega.  A
+section or a grid must be an object.  A file that sets both ``detune`` and
+``omega_mw``, or both ``t`` and ``period_t``, exits 2.  Both grids are
 type-checked, but each command range-checks only the one it reads: ``scan``
 for ``spectrum``, ``gamma_grid`` for ``gamma-scan``.  ``figures`` reads no
 config file.
@@ -201,13 +203,14 @@ def _load_config_file() -> dict:
             value = tuple(grid[part] for part in _GRID_PARTS)
             for part, v in zip(_GRID_PARTS, value):
                 _check_entry(f"{name}.{part}", float, v)
-        elif value is None:  # null leaves the entry unset
-            continue
-        else:
+        elif value is not None:
             _check_entry(name, inp.kind, value)
-        flat[inp.name] = value
-    for pair in _EXCLUSIVE:  # on the values read: null and false leave an entry unset
-        if all(flat.get(key, False) is not False for key in pair):
+        # null, or false for a switch, leaves the entry unset: argparse gives
+        # None for a switch left off, and only None is unset in _merge
+        if value is not None and value is not False:
+            flat[inp.name] = value
+    for pair in _EXCLUSIVE:
+        if all(key in flat for key in pair):
             raise ValueError(f"config file sets both {pair[0]} and {pair[1]}")
     return flat
 
@@ -232,13 +235,8 @@ def _build_config(merged, command):
     omega = float(merged["omega"])
     if not (omega > 0.0 and math.isfinite(omega)):  # before T = 2 pi / omega
         raise ValueError(f"omega must be positive and finite, got {omega}")
-    if merged.get("period_t"):
-        t_val = 2.0 * math.pi / omega
-    elif merged.get("t") is not None:
-        t_val = float(merged["t"])
-    else:
-        raise ValueError("either t or period_t must be set")
-    # _merge leaves exactly one of detune and omega_mw set
+    # _merge leaves exactly one member of each exclusive pair set
+    t_val = 2.0 * math.pi / omega if merged["period_t"] else float(merged["t"])
     detune = (float(merged["detune"]) if merged["omega_mw"] is None
               else omega - float(merged["omega_mw"]))
     p = ModulatorParams.from_detuning(

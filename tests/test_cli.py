@@ -516,25 +516,45 @@ _PARITY = {
 }
 
 
+def _config_file(tmp_path, inp, value) -> str:
+    """Write an EOM_CONFIG file that sets only ``inp``'s entry to ``value``."""
+    for key in reversed(inp.path.split(".")):
+        value = {key: value}
+    (tmp_path / "cfg.json").write_text(json.dumps(value))
+    return str(tmp_path / "cfg.json")
+
+
+def _output_bytes(tmp_path, monkeypatch, name, argv, config):
+    """Run argv in a fresh directory tmp_path/name with EOM_CONFIG = config
+    (empty: no config file); the bytes of o.csv and of its sidecar."""
+    (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / name)
+    monkeypatch.setenv("EOM_CONFIG", config)
+    assert run(argv) == 0
+    return [(tmp_path / name / f).read_bytes() for f in ("o.csv", "o.csv.manifest.json")]
+
+
 @pytest.mark.parametrize("inp", cli._INPUTS, ids=lambda inp: inp.name)
 def test_flag_and_config_entry_agree(tmp_path, monkeypatch, inp):
     # one input set by its flag, then by its EOM_CONFIG entry: the same bytes
-    text, doc = _PARITY[inp.name]
-    for key in reversed(inp.path.split(".")):
-        doc = {key: doc}
-    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    text, value = _PARITY[inp.name]
+    config = _config_file(tmp_path, inp, value)
     flag = "--" + inp.name.replace("_", "-")
-    out = [] if inp.name == "out" else ["--out=o.csv"]
-    outputs = []
-    for name, argv, config in (("flag", [flag if text is None else f"{flag}={text}"], ""),
-                               ("file", [], str(tmp_path / "cfg.json"))):
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        monkeypatch.setenv("EOM_CONFIG", config)  # empty: no config file
-        assert run([inp.commands[0], *argv, *out]) == 0
-        outputs.append([(tmp_path / name / f).read_bytes()
-                        for f in ("o.csv", "o.csv.manifest.json")])
-    assert outputs[0] == outputs[1]
+    argv = [inp.commands[0], *([] if inp.name == "out" else ["--out=o.csv"])]
+    assert (_output_bytes(tmp_path, monkeypatch, "flag",
+                          [*argv, flag if text is None else f"{flag}={text}"], "")
+            == _output_bytes(tmp_path, monkeypatch, "file", argv, config))
+
+
+@pytest.mark.parametrize("inp", [inp for inp in cli._INPUTS if inp.kind is bool],
+                         ids=lambda inp: inp.name)
+def test_switch_false_in_file_is_switch_left_off(tmp_path, monkeypatch, inp):
+    # false in the file leaves the switch unset, as no flag does: for period_t,
+    # the default T = 2 pi / Omega
+    argv = [inp.commands[0], "--out=o.csv"]
+    assert (_output_bytes(tmp_path, monkeypatch, "plain", argv, "")
+            == _output_bytes(tmp_path, monkeypatch, "file", argv,
+                             _config_file(tmp_path, inp, False)))
 
 
 _DEFAULT_PARAMS = {"s": 3.0, "omega": 30.0, "omega_mw": 30.0 - 0.1, "detune": 0.1,
@@ -594,6 +614,8 @@ class TestVerifyCommand:
 
     def test_unknown_level_rejected(self):
         assert run(["verify", "sloppy"]) == 2
+        with pytest.raises(ValueError, match="unknown verify level 'sloppy'"):
+            verify.registry("sloppy")
 
 
 def test_no_eigensolve_outside_verify(tmp_path, monkeypatch):

@@ -84,6 +84,8 @@ class TestSpectralScan:
             spectral_scan(params(), f, [])
         with pytest.raises(ValueError):
             spectral_scan(params(), f, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="model must be one of"):
+            spectral_scan(params(), f, [0.0], model="classical")
 
     @pytest.mark.parametrize("gamma", [2.0, 10.0, 24.25])
     def test_bounded(self, gamma):

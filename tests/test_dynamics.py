@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eomod import verify
@@ -16,7 +16,7 @@ from eomod.dynamics import (
     revival_scan,
 )
 from eomod.reference import propagator
-from eomod.su2 import ModulatorParams, mode_offsets
+from eomod.su2 import S_MAX, ModulatorParams, mode_offsets
 from eomod.unrestricted import modulation_index
 from eomod.wigner import wigner_d_exponential
 
@@ -182,12 +182,16 @@ class TestModeOccupations:
 
 class TestCentralColumn:
     def test_matches_propagator_column(self):
-        # u = sin 2beta sin Gamma T of both signs, S <= 40 and one S = 150 case
+        # u = sin 2beta sin Gamma T of both signs, S <= 40, and spins where a
+        # recurrence column must rescale: S = 150 at 2beta~ = 0.103 and at
+        # resonance with gamma = Omega(2S+1)/8, where 2beta~ = pi; S_MAX at 0.0155
         rng = np.random.default_rng(20261018)
         cases = [params(S=int(rng.integers(1, 41)), detune=rng.uniform(-2.0, 2.0),
                         gamma=rng.uniform(0.0, 80.0), T=rng.uniform(0.0, 1.0))
                  for _ in range(40)]
-        cases.append(params(S=150, detune=0.1, gamma=37.0))
+        cases += [params(S=150, detune=0.1, gamma=37.0),
+                  params(S=150, detune=0.0, gamma=30.0 * 301 / 8),
+                  params(S=S_MAX, detune=0.1, gamma=37.0)]
         signs = {closed_form_angles(p) > 0.0 for p in cases}  # the sign of u
         assert signs == {False, True}
         worst = 0.0
@@ -309,6 +313,10 @@ class TestRevivalScan:
         g, v = find_revival_peak(list(zip(xs, ys)))
         assert g == pytest.approx(0.13, abs=1e-12)
         assert v == pytest.approx(1.0, abs=1e-12)
+        # no parabola: the highest point at the grid edge, and a top flat to
+        # rounding (y0 - 2 y1 + y2 rounds to 0) give the grid point itself
+        assert find_revival_peak([(0.0, 0.2), (1.0, 0.5), (2.0, 0.9)]) == (2.0, 0.9)
+        assert find_revival_peak([(0.0, 1 - 2 ** -53), (1.0, 1.0), (2.0, 1.0)]) == (1.0, 1.0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -316,6 +324,15 @@ class TestRevivalScan:
        detune=st.floats(-50.0, 50.0), gamma=st.floats(0.0, 500.0),
        T=st.floats(0.0, 10.0), m_tilde=st.floats(0.0, 1e3),
        half_width=st.floats(0.01, 100.0))
+# edges that run whatever Hypothesis draws: the smallest subnormal T, T = 0,
+# no coupling off resonance, resonance with coupling, and S = 1/2 with every
+# other range at its maximum
+@example(two_s=6, Omega=30.0, detune=0.1, gamma=2.0, T=5e-324, m_tilde=0.0, half_width=4.0)
+@example(two_s=6, Omega=30.0, detune=0.1, gamma=2.0, T=0.0, m_tilde=0.0, half_width=4.0)
+@example(two_s=6, Omega=30.0, detune=0.1, gamma=0.0, T=TP, m_tilde=0.0, half_width=4.0)
+@example(two_s=6, Omega=30.0, detune=0.0, gamma=2.0, T=TP, m_tilde=0.0, half_width=4.0)
+@example(two_s=1, Omega=100.0, detune=50.0, gamma=500.0, T=10.0, m_tilde=1e3,
+         half_width=100.0)
 def test_invariants_across_parameter_space(two_s, Omega, detune, gamma, T, m_tilde,
                                            half_width):
     # the verify measures at their verify tolerances, away from its fixed samples

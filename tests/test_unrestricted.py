@@ -52,10 +52,12 @@ class TestBessel:
         for x in (0.5, 2.7, 10.0, 41.9, 100.0):
             assert verify.bessel_normalization_defect(x) < 1e-12
 
+    # the defect is 9.6e-13 at mu = 213 and 1.013e-12 at 214
     @pytest.mark.xfail(strict=True, reason="default_cutoff(mu) = ceil|mu| + 30 "
-                       "is too small for |mu| >= 220 (ROADMAP item 1)")
-    def test_normalization_identity_large_mu(self):
-        assert verify.bessel_normalization_defect(700.0) <= 1e-12
+                       "is too small from integer |mu| = 214 on (ROADMAP item 1)")
+    @pytest.mark.parametrize("mu", [214.0, 700.0])
+    def test_normalization_identity_large_mu(self, mu):
+        assert verify.bessel_normalization_defect(mu) <= 1e-12
 
     def test_series_miller_crossover_consistent(self):
         # both evaluation paths agree around the |x| = 2 switch
