@@ -142,7 +142,8 @@ def find_revival_peak(scan):
     """Parabolic refinement of the highest grid point of a revival scan.
 
     ``scan`` is the (gamma, probability) list from :func:`revival_scan`;
-    returns the refined (gamma_peak, probability_peak).
+    returns the refined (gamma_peak, probability_peak), the probability
+    capped at 1 (the parabola over a flat top peaks above its grid values).
     """
     gammas = np.array([g for g, _ in scan])
     probs = np.array([v for _, v in scan])
@@ -156,5 +157,5 @@ def find_revival_peak(scan):
     shift = 0.5 * (y0 - y2) / denom
     step = gammas[i + 1] - gammas[i]
     peak_gamma = gammas[i] + shift * step
-    peak_val = y1 - 0.25 * (y0 - y2) * shift
+    peak_val = min(y1 - 0.25 * (y0 - y2) * shift, 1.0)
     return float(peak_gamma), float(peak_val)

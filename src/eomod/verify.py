@@ -4,8 +4,9 @@ Every invariant's residual is computed here once, by a public per-case
 measure (``*_defect``) that the tests also call on their own samples.
 So do the Bessel-model links (large-S and Jacobi limits, the Fourier
 series of exp(-i mu cos t)): the model layers keep no check-only helper.
-The independent routes it compares against come from ``eomod.reference``
-and ``eomod.numkernel``, which no other command imports.
+The independent routes it compares against come from ``eomod.reference``,
+which no other command imports, and from LAPACK's Hermitian eigensolver
+(``hermitian_eigen``), which only the quasi-energy spacing check calls.
 Each check is a zero-argument callable returning ``(tolerance, measured)``,
 the worst measure over the check's fixed sample; it passes when
 ``measured <= tolerance``.  The quick suite covers the algebra, rotation
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import dynamics, reference, su2, unrestricted, wigner
 from .detection import FilterSpec, spectral_scan
-from .numkernel import hermitian_eigen
 
 _OMEGA = 30.0
 _T = 2.0 * math.pi / _OMEGA
+
+HERM_TOL = 1e-12
 
 # power-series value of J_1(2), frozen from the oracle in the test suite
 _J1_OF_2 = 0.5767248077568734
@@ -154,10 +156,35 @@ def check_closed_form_magnitude():
     return 1e-9, worst
 
 
+def hermitian_eigen(A):
+    """Ascending eigenvalues and orthonormal eigenvectors ``(w, V)`` of a
+    Hermitian matrix, from LAPACK through ``numpy.linalg.eigh``; real input
+    stays real, so its eigenvectors are float64.
+
+    Raises ``ValueError`` if ``A`` is not square, has a non-finite entry, or
+    deviates from Hermiticity by more than ``HERM_TOL`` relative to its
+    largest entry.
+    """
+    M = np.asarray(A)
+    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"hermitian_eigen: expected a square matrix, got shape {M.shape}")
+    scale = np.max(np.abs(M)) if M.size else 0.0
+    if not np.isfinite(scale):  # NaN propagates through max; checked before M - M†
+        raise ValueError("hermitian_eigen: matrix has non-finite entries")
+    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
+    if dev > HERM_TOL * max(scale, 1.0):
+        raise ValueError(
+            f"hermitian_eigen: matrix is not Hermitian "
+            f"(max deviation {dev:.3e}, scale {scale:.3e})"
+        )
+    return np.linalg.eigh(M)
+
+
 def ladder_defect(p):
     """Largest gap of the quasi-energies from omega*m~ + 2 Gamma k, over Gamma."""
     gamma_rabi = su2.mixing_angle(p).Gamma
-    vals = hermitian_eigen(reference.quasi_energy_matrix(p)).values
+    vals, _ = hermitian_eigen(reference.quasi_energy_matrix(p))
     ladder = p.omega * p.m_tilde + 2.0 * gamma_rabi * su2.mode_offsets(p.S)
     return float(np.max(np.abs(vals - ladder)) / gamma_rabi)
 

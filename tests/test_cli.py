@@ -170,13 +170,24 @@ class TestSpectrum:
         assert run(["spectrum", "--t", "0.1", "--period-t"]) == 2
         assert run(["spectrum", "--detune", "0.1", "--omega-mw", "29"]) == 2
 
-    def test_single_model_skips_the_other(self):
+    def test_single_model_skips_the_other(self, capsys):
         # S = 2.5 has no central mode and gamma = 700 fails the Bessel tail
         # bound; each stops only the model it concerns
         for model, argv in (("unrestricted", ["--s", "2.5", "--scan=-1:1:1"]),
                             ("restricted", ["--gamma", "700", "--scan=0:1:1"])):
             assert run(["spectrum", "--model", model, *argv]) == 0
             assert run(["spectrum", "--model", "both", *argv]) == 2
+        # but every run first checks the whole parameter record, entries that
+        # the model or the command never reads included
+        for argv, reason in (
+                (["spectrum", "--model", "unrestricted", "--s", "2000", "--scan=0:1:1"],
+                 "S must be at most 1000"),
+                (["spectrum", "--model", "unrestricted", "--gamma=-1", "--scan=0:1:1"],
+                 "gamma must be non-negative and finite"),
+                (["gamma-scan", "--filter-hw", "0"], "half_width must be positive and finite")):
+            capsys.readouterr()
+            assert run(argv) == 2
+            assert reason in capsys.readouterr().err
 
     def test_both_columns_match_single_models(self, tmp_path):
         args = ["spectrum", "--gamma", "24.25", "--detune", "-0.3",

@@ -318,6 +318,13 @@ class TestRevivalScan:
         assert find_revival_peak([(0.0, 0.2), (1.0, 0.5), (2.0, 0.9)]) == (2.0, 0.9)
         assert find_revival_peak([(0.0, 1 - 2 ** -53), (1.0, 1.0), (2.0, 1.0)]) == (1.0, 1.0)
 
+    def test_peak_refinement_capped_at_one(self):
+        # the parabola over a flat top peaks at 1.0625 between its two points
+        assert find_revival_peak([(0, 0.5), (1, 1.0), (2, 1.0), (3, 0.5)]) == (1.5, 1.0)
+        # a strict interior peak below 1 keeps its parabola value bit for bit
+        assert find_revival_peak([(0.0, 0.3), (1.0, 0.8), (2.0, 0.6)]) == \
+            (1.2142857142857142, 0.8160714285714286)
+
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(two_s=st.integers(1, 80), Omega=st.floats(0.5, 100.0),

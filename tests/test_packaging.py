@@ -69,7 +69,7 @@ def test_cli_import_leaves_numpy_fft_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("module", ["eomod.verify", "eomod.reference", "eomod.numkernel"])
+@pytest.mark.parametrize("module", ["eomod.verify", "eomod.reference"])
 def test_cli_import_leaves_verify_unloaded(module):
     # only the verify command needs the check layer and the oracle routes
     # behind it; every other one-shot CLI process skips importing them
@@ -114,7 +114,7 @@ def eomod_imports(module):
     return found
 
 
-@pytest.mark.parametrize("module", ["su2", "numkernel", "wigner", "dynamics", "reference"])
+@pytest.mark.parametrize("module", ["su2", "wigner", "dynamics", "reference"])
 def test_su2_stack_imports_no_bessel_model(module):
     # only detection, verify and cli join the two models
     assert not eomod_imports(module) & {"unrestricted", "detection", "verify", "cli"}
@@ -129,4 +129,32 @@ def test_bessel_model_imports_no_other_module():
 @pytest.mark.parametrize("module", ["su2", "wigner", "dynamics", "unrestricted", "detection"])
 def test_model_layers_import_no_check_code(module):
     # the oracle routes, LAPACK's solver and the checks serve verify alone
-    assert not eomod_imports(module) & {"reference", "numkernel", "verify"}
+    assert not eomod_imports(module) & {"reference", "verify"}
+
+
+# only perfbench's warm-sweep calls these; ROADMAP item 13 moves them out
+UNREAD_IN_PACKAGE = {"revival_scan", "find_revival_peak"}
+
+
+def test_every_public_name_is_read_in_the_package():
+    # src/ keeps only code that a command runs or that checks it: a public
+    # top-level name that no module reads serves the tests alone
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in (SRC / "eomod").rglob("*.py")]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = {name for name in defined if not name.startswith("_")}
+    assert public - read - UNREAD_IN_PACKAGE == set()
