@@ -27,8 +27,6 @@ from .detection import FilterSpec, spectral_scan
 _OMEGA = 30.0
 _T = 2.0 * math.pi / _OMEGA
 
-HERM_TOL = 1e-12
-
 # power-series value of J_1(2), frozen from the oracle in the test suite
 _J1_OF_2 = 0.5767248077568734
 
@@ -158,27 +156,11 @@ def check_closed_form_magnitude():
 
 def hermitian_eigen(A):
     """Ascending eigenvalues and orthonormal eigenvectors ``(w, V)`` of a
-    Hermitian matrix, from LAPACK through ``numpy.linalg.eigh``; real input
-    stays real, so its eigenvectors are float64.
+    Hermitian matrix, from LAPACK through ``numpy.linalg.eigh``.
 
-    Raises ``ValueError`` if ``A`` is not square, has a non-finite entry, or
-    deviates from Hermiticity by more than ``HERM_TOL`` relative to its
-    largest entry.
+    The name is the seam where perfbench counts and captures eigensolves.
     """
-    M = np.asarray(A)
-    M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"hermitian_eigen: expected a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if not np.isfinite(scale):  # NaN propagates through max; checked before M - M†
-        raise ValueError("hermitian_eigen: matrix has non-finite entries")
-    dev = np.max(np.abs(M - M.conj().T)) if M.size else 0.0
-    if dev > HERM_TOL * max(scale, 1.0):
-        raise ValueError(
-            f"hermitian_eigen: matrix is not Hermitian "
-            f"(max deviation {dev:.3e}, scale {scale:.3e})"
-        )
-    return np.linalg.eigh(M)
+    return np.linalg.eigh(A)
 
 
 def ladder_defect(p):

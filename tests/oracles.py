@@ -1,12 +1,11 @@
 """Independent brute-force oracles used only by the test suite.
 
-These deliberately avoid the code paths they check: the Sturm bisection
-never touches the LAPACK eigensolver, the RK4 integrator never touches the
-spectral sum, the Taylor exponential never diagonalizes anything, the DFT
-never goes through an FFT, and the series oracles use exact integer
-factorials.  Nothing here imports eomod: the spin matrices come from the
-textbook ladder S_+ |m> = sqrt(S(S+1) - m(m+1)) |m+1>, not from eomod's
-``ladder_weights``.
+These deliberately avoid the code paths they check: the RK4 integrator
+never touches the spectral sum, the Taylor exponential never diagonalizes
+anything, the DFT never goes through an FFT, and the series oracles use
+exact integer factorials.  Nothing here imports eomod: the spin matrices
+come from the textbook ladder S_+ |m> = sqrt(S(S+1) - m(m+1)) |m+1>, not
+from eomod's ``ladder_weights``.
 """
 
 import math
@@ -32,46 +31,6 @@ def quasi_energy(p):
     m = -p.S + np.arange(splus.shape[0])
     g_eff = 2.0 * p.gamma / splus.shape[0]
     return np.diag(p.omega * (p.m_tilde + m)) + g_eff * (splus + splus.T)
-
-
-def sturm_count(diag, off, x):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x."""
-    count = 0
-    q = 1.0
-    for i in range(len(diag)):
-        if i == 0:
-            q = diag[0] - x
-        else:
-            if q == 0.0:
-                q = 1e-300
-            q = diag[i] - x - off[i - 1] * off[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def tridiag_eigenvalues_sturm(diag, off, tol=1e-13):
-    """Ascending eigenvalues by bisection on the Sturm-sequence count."""
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = len(diag)
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius)) - 1.0
-    hi = float(np.max(diag + radius)) + 1.0
-    span = hi - lo
-    vals = []
-    for k in range(1, n + 1):
-        a, b = lo, hi
-        while b - a > tol * span:
-            mid = 0.5 * (a + b)
-            if sturm_count(diag, off, mid) >= k:
-                b = mid
-            else:
-                a = mid
-        vals.append(0.5 * (a + b))
-    return np.array(vals)
 
 
 def rk4_propagator(p):
@@ -148,19 +107,3 @@ def jacobi_series(n, a, b, x):
     v = 0.5 * (x + 1.0)
     return sum(_real_binom(n + a, k) * _real_binom(n + b, n - k)
                * u ** (n - k) * v ** k for k in range(n + 1))
-
-
-def charpoly_eigenvalues(A):
-    """Eigenvalues via Faddeev-LeVerrier characteristic polynomial + roots."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    eye = np.eye(n)
-    coeffs = [1.0 + 0.0j]
-    M = np.zeros_like(A)
-    c = 1.0 + 0.0j
-    for k in range(1, n + 1):
-        M = A @ M + c * eye
-        c = -np.trace(A @ M) / k
-        coeffs.append(c)
-    roots = np.roots(coeffs)
-    return np.sort(roots.real)

@@ -652,19 +652,37 @@ def test_no_eigensolve_outside_verify(tmp_path, monkeypatch):
 _VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, 1e-300, -1e-300, 1e300, -1e300]),
     st.floats(-1e3, 1e3), st.floats(1e-3, 1e2))
+_SPINS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 @st.composite
 def _argvs(draw):
-    argv = [draw(st.sampled_from(["spectrum", "gamma-scan"])),
-            f"--s={draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))!r}"]
-    for flag in ("--omega", "--detune", "--gamma", "--m-tilde", "--filter-hw",
-                 "--display-unit"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(_VALUES)!r}")
-    t = draw(st.one_of(st.none(), _VALUES))
-    argv.append("--period-t" if t is None else f"--t={t!r}")
-    if argv[0] == "spectrum":
+    """Flags drawn from the ``cli._INPUTS`` rows of the drawn command: at
+    most one member of each exclusive pair, any other float row (S from
+    half-integers, so that runs also succeed), the model and --absolute."""
+    command = draw(st.sampled_from(["spectrum", "gamma-scan"]))
+    rows = {inp.name: inp for inp in cli._INPUTS if command in inp.commands}
+    argv = [command]
+    for pair in cli._EXCLUSIVE:
+        name = draw(st.sampled_from((None,) + pair))
+        if name is not None:
+            argv.append(_flag(name) if rows[name].kind is bool
+                        else f"{_flag(name)}={draw(_VALUES)!r}")
+    paired = {name for pair in cli._EXCLUSIVE for name in pair}
+    for inp in rows.values():
+        if inp.kind is float and inp.name not in paired and draw(st.booleans()):
+            values = _SPINS if inp.name == "s" else _VALUES
+            argv.append(f"{_flag(inp.name)}={draw(values)!r}")
+    model = draw(st.sampled_from((None,) + rows["model"].kind))
+    if model is not None:
+        argv.append(f"--model={model}")
+    if draw(st.booleans()):
+        argv.append("--absolute")
+    if command == "spectrum":
         argv.append("--scan=-1:1:1")
     else:
         argv += ["--dm=0", "--gamma-grid=0:1:0.5"]
