@@ -4,7 +4,8 @@ The unrestricted model has constant mode coupling, so the sideband
 amplitudes are integer-order Bessel functions of the modulation index
 ``mu = (4 gamma / omega) sin(omega T / 2)``.  Bessel values come from
 Miller's backward recurrence with normalization (stable for every order we
-need), with the ascending power series as the small-argument path.
+need) for every |x| >= TINY_X = 2^-27, and from the leading power-series
+term (x / 2)^n / n! below it.
 ``bessel_j`` takes one argument or a grid, as ``modulation_index`` does.
 """
 
@@ -13,30 +14,11 @@ import numbers
 
 import numpy as np
 
-SERIES_X_MAX = 2.0
+TINY_X = 2.0 ** -27
 MAX_ORDER = 10 ** 6
 CUTOFF_PAD = 30
 SMALL_DETUNE_PHASE = 1e-8
 _RESCALE_LIMIT = 1e200
-
-
-def _bessel_series(n, x):
-    """Ascending power series; accurate for |x| < 2, any order."""
-    half = 0.5 * x
-    if n == 0 and half == 0.0:  # x = 0, or x / 2 underflows: J_0 = 1 - x^2 / 4 = 1
-        return 1.0
-    log_t0 = n * math.log(abs(half)) - math.lgamma(n + 1) if half != 0.0 else -math.inf
-    if log_t0 < -745.0:  # underflows double; the true value is below 1e-323
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) or k > 80:
-            return total
 
 
 def _miller_start(nmax, x):
@@ -47,7 +29,7 @@ def _miller_start(nmax, x):
 
 
 def _bessel_miller(nmax, x):
-    """J_0..J_nmax for x >= SERIES_X_MAX via backward recurrence."""
+    """J_0..J_nmax for x >= TINY_X via backward recurrence."""
     out = np.zeros(nmax + 1)
     jp1 = 0.0
     jk = 1e-30
@@ -69,7 +51,7 @@ def _bessel_miller(nmax, x):
 
 
 def _bessel_miller_grid(n, x):
-    """J_n at every x >= SERIES_X_MAX of a 1-d array, in one recurrence.
+    """J_n at every x >= TINY_X of a 1-d array, in one recurrence.
 
     Each element keeps the start index, normalisation and rescaling that
     :func:`_bessel_miller` gives it alone, so the arithmetic is the same.
@@ -84,10 +66,11 @@ def _bessel_miller_grid(n, x):
     |J_{k-1}| <= (2k / x + 1) max(|J_k|, |J_{k+1}|), so no value exceeds
     1e-30 * prod_{j >= k} (2j / min x + 1), the product over the steps
     taken.  Kept a factor of two high against its own rounding, the bound
-    stays below _RESCALE_LIMIT for every order below 67 on the reference
-    gamma grid 0:60:0.25 (mu <= 25.2), so those scans test no step.  Once
-    it passes, every step is tested, so each element rescales at exactly
-    the step :func:`_bessel_miller` picks.
+    stays below _RESCALE_LIMIT for every order up to 30 on the reference
+    gamma grid 0:60:0.25 (0.105 <= mu <= 25.2 past gamma = 0), so those
+    scans test no step; order 31 tests them.  Once it passes, every step is
+    tested, so each element rescales at exactly the step
+    :func:`_bessel_miller` picks.
     """
     starts = _miller_start(n, x)
     order = np.argsort(-starts, kind="stable")
@@ -131,6 +114,24 @@ def _bessel_miller_grid(n, x):
     return out
 
 
+def _bessel_tiny(nmax, x):
+    """J_0..J_nmax for 0 <= x < TINY_X from the leading term (x / 2)^n / n!.
+
+    The series is J_n(x) = (x / 2)^n / n! (1 - (x / 2)^2 / (n + 1) + ...), an
+    alternating sum of falling terms, so the tail after the leading term is
+    below (x / 2)^2 / (n + 1) <= (x / 2)^2 < 2^-56 of it for x < 2^-27.  Half
+    an ulp is at least 2^-54 relative, so the leading term is J_n to within
+    its own rounding.  Miller's 2k / x would overflow as x falls to 0; these
+    products underflow to exact zeros instead.
+    """
+    return np.cumprod(np.concatenate([[1.0], (0.5 * x) / np.arange(1, nmax + 1)]))
+
+
+def _bessel_upto(nmax, x):
+    """J_0..J_nmax(x) for x >= 0, by the leading term below TINY_X and Miller above."""
+    return _bessel_tiny(nmax, x) if x < TINY_X else _bessel_miller(nmax, x)
+
+
 def _guard(n, x, lowest=-MAX_ORDER, name="order"):
     """n as an int and x as a float array, after refusing an x that is not finite or
     whose sideband cut default_cutoff(max |x|) exceeds MAX_ORDER (so an nmax read off
@@ -154,12 +155,12 @@ def bessel_j(n, x):
 
     ``x`` is a number (J_n is a float) or a 1-d array (J_n is the array,
     each element bit for bit the number's call), as in
-    ``modulation_index``.  Below SERIES_X_MAX only the order-|n| series
-    runs; a number above it takes ``bessel_j_sequence(|n|, x)[|n|]``, and
-    the array's other elements share one Miller recurrence in which each
-    keeps its own start, norm and scale.  ``J_{-n}(x) = (-1)^n J_n(x)``
-    holds exactly (same float, flipped sign); relative accuracy is ~1e-14
-    throughout the tested range |x| <= 100.
+    ``modulation_index``.  A number takes ``bessel_j_sequence(|n|, x)[|n|]``;
+    the array's elements below TINY_X take the same leading term, and the
+    others share one Miller recurrence in which each keeps its own start,
+    norm and scale.  ``J_{-n}(x) = (-1)^n J_n(x)`` holds exactly (same
+    float, flipped sign); relative accuracy is ~1e-14 throughout the tested
+    range |x| <= 100.
     """
     n, x = _guard(n, x)
     if x.ndim > 1:
@@ -167,16 +168,14 @@ def bessel_j(n, x):
     order = abs(n)
     if x.ndim == 0:
         x = float(x)
-        ax = abs(x)
-        val = (_bessel_series(order, ax) if ax < SERIES_X_MAX
-               else float(_bessel_miller(order, ax)[order]))
+        val = float(_bessel_upto(order, abs(x))[order])
     else:
         ax = np.abs(x)
         val = np.empty(x.size)
-        series = ax < SERIES_X_MAX
-        val[series] = [_bessel_series(order, v) for v in ax[series].tolist()]
-        if not series.all():
-            val[~series] = _bessel_miller_grid(order, ax[~series])
+        tiny = ax < TINY_X
+        val[tiny] = [_bessel_tiny(order, v)[order] for v in ax[tiny].tolist()]
+        if not tiny.all():
+            val[~tiny] = _bessel_miller_grid(order, ax[~tiny])
     if order % 2:  # J_n(-x) = J_{-n}(x) = -J_n(x) for odd n; both flips cancel
         flip = (x < 0.0) != (n < 0)  # a bool, or a bool array
         val = val * (1.0 - 2.0 * flip)  # times -1.0 or 1.0: exact
@@ -187,10 +186,7 @@ def bessel_j_sequence(nmax, x) -> np.ndarray:
     """J_0(x) .. J_nmax(x) in one pass (negative orders follow by parity)."""
     nmax, x = _guard(nmax, x, 0, "nmax")
     x = float(x)
-    if abs(x) < SERIES_X_MAX:
-        vals = np.array([_bessel_series(n, abs(x)) for n in range(nmax + 1)])
-    else:
-        vals = _bessel_miller(nmax, abs(x))
+    vals = _bessel_upto(nmax, abs(x))
     if x < 0.0:
         vals[1::2] *= -1.0
     return vals

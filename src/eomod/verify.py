@@ -27,8 +27,9 @@ from .detection import FilterSpec, spectral_scan
 _OMEGA = 30.0
 _T = 2.0 * math.pi / _OMEGA
 
-# power-series value of J_1(2), frozen from the oracle in the test suite
+# power-series values of J_1(2) and J_1(0.5), frozen from the test suite's oracle
 _J1_OF_2 = 0.5767248077568734
+_J1_OF_HALF = 0.2422684576748739
 
 
 class CheckResult(NamedTuple):
@@ -195,7 +196,8 @@ def check_photon_conservation():
 
 
 def check_bessel_series_value():
-    return 1e-12, abs(unrestricted.bessel_j(1, 2.0) - _J1_OF_2)
+    return 1e-12, max(abs(unrestricted.bessel_j(1, 2.0) - _J1_OF_2),
+                      abs(unrestricted.bessel_j(1, 0.5) - _J1_OF_HALF))
 
 
 def bessel_recurrence_defect(x):

@@ -89,7 +89,7 @@ def bessel_series(n, x):
         term = (-1.0) ** k * (0.5 * x) ** (n + 2 * k) / (
             math.factorial(k) * math.factorial(n + k))
         total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30) and k > 4:
+        if abs(term) <= 1e-18 * abs(total) and k > 4:
             break
     return total
 

@@ -332,10 +332,12 @@ class TestRevivalScan:
        T=st.floats(0.0, 10.0), m_tilde=st.floats(0.0, 1e3),
        half_width=st.floats(0.01, 100.0))
 # edges that run whatever Hypothesis draws: the smallest subnormal T, T = 0,
-# no coupling off resonance, resonance with coupling, and S = 1/2 with every
-# other range at its maximum
+# mu = 8.4e-9 just above TINY_X (the smallest Miller argument), no coupling
+# off resonance, resonance with coupling, and S = 1/2 with every other range
+# at its maximum
 @example(two_s=6, Omega=30.0, detune=0.1, gamma=2.0, T=5e-324, m_tilde=0.0, half_width=4.0)
 @example(two_s=6, Omega=30.0, detune=0.1, gamma=2.0, T=0.0, m_tilde=0.0, half_width=4.0)
+@example(two_s=6, Omega=30.0, detune=0.1, gamma=2e-8, T=TP, m_tilde=0.0, half_width=4.0)
 @example(two_s=6, Omega=30.0, detune=0.1, gamma=0.0, T=TP, m_tilde=0.0, half_width=4.0)
 @example(two_s=6, Omega=30.0, detune=0.0, gamma=2.0, T=TP, m_tilde=0.0, half_width=4.0)
 @example(two_s=1, Omega=100.0, detune=50.0, gamma=500.0, T=10.0, m_tilde=1e3,

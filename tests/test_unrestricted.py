@@ -9,6 +9,7 @@ from eomod.dynamics import mode_occupations
 from eomod.su2 import ModulatorParams
 from eomod.unrestricted import (
     MAX_ORDER,
+    TINY_X,
     bessel_j,
     bessel_j_sequence,
     default_cutoff,
@@ -38,8 +39,13 @@ class TestBessel:
     def test_j1_of_2_vs_series_oracle(self):
         assert abs(bessel_j(1, 2.0) - bessel_series(1, 2.0)) < 1e-12
 
+    def test_series_value_check_constants_are_the_oracle(self):
+        # the values frozen in verify's bessel-series-value check
+        assert abs(verify._J1_OF_2 - bessel_series(1, 2.0)) <= 1e-15
+        assert abs(verify._J1_OF_HALF - bessel_series(1, 0.5)) <= 1e-15
+
     def test_more_values_vs_series_oracle(self):
-        # small-argument series region and the Miller region both
+        # Miller's recurrence at arguments from 1.5 to 7
         for n, x in ((0, 2.0), (0, 1.5), (3, 1.9), (5, 2.5), (2, 7.0), (11, 4.0)):
             assert bessel_j(n, x) == pytest.approx(bessel_series(n, x),
                                                    rel=1e-12, abs=1e-15)
@@ -59,17 +65,27 @@ class TestBessel:
     def test_normalization_identity_large_mu(self, mu):
         assert verify.bessel_normalization_defect(mu) <= 1e-12
 
-    def test_series_miller_crossover_consistent(self):
-        # both evaluation paths agree around the |x| = 2 switch
-        for n in range(0, 9):
-            for x in (1.8, 1.999, 2.0, 2.2, 3.0):
-                assert bessel_j(n, x) == pytest.approx(bessel_series(n, x),
-                                                       rel=1e-12, abs=1e-16)
+    def test_small_arguments_vs_series_oracle(self):
+        # the leading term below TINY_X and Miller's recurrence from it up to
+        # x = 3, where the series converges fast; J below 1e-290 may lose
+        # digits to subnormals in either evaluation
+        xs = [*np.geomspace(1e-100, 2.0, 200), TINY_X * (1.0 - 2.0 ** -52), TINY_X,
+              2.2, 3.0]
+        for x in xs:
+            seq = bessel_j_sequence(40, x)
+            for n in range(41):
+                expected = bessel_series(n, x)
+                if abs(expected) >= 1e-290:
+                    for got in (bessel_j(n, x), seq[n]):
+                        assert abs(got - expected) <= 1e-14 * abs(expected), (n, x)
 
     @pytest.mark.parametrize("n", [-61, -7, -2, 0, 1, 30, 60])
     def test_one_order_equals_sequence_bitwise(self, n):
-        # below |x| = 2 bessel_j runs only the order-|n| series
-        for x in (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.999, -1.999):
+        # both sides of TINY_X, where the leading term hands over to Miller
+        below = np.nextafter(TINY_X, 0.0)
+        above = np.nextafter(TINY_X, 1.0)
+        for x in (0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 1.999, -1.999,
+                  TINY_X, -TINY_X, below, -below, above, -above):
             seq = bessel_j_sequence(abs(n), x)[abs(n)]
             expected = -seq if n < 0 and n % 2 else seq
             assert _bits(bessel_j(n, x)) == _bits(expected)
@@ -129,13 +145,16 @@ def _bits(values):
 class TestBesselGrid:
     """bessel_j on a 1-d array is its number call run on each element."""
 
-    # seeded: the Miller range both signs, the series range, the switch at
-    # |x| = 2, signed zeros, and x = 2.5 at order 120, where the unnormalised
+    # seeded: the Miller range both signs and densely near 0, signed zeros and
+    # the smallest subnormals, both sides of TINY_X, where the leading term
+    # hands over to Miller, and x = 2.5 at order 120, where the unnormalised
     # recurrence passes the 1e200 rescale limit
+    TINY_SIDES = np.array([np.nextafter(TINY_X, 0.0), TINY_X, np.nextafter(TINY_X, 1.0)])
     X = np.concatenate([
         np.random.default_rng(20261018).uniform(-300.0, 300.0, 150),
         np.random.default_rng(7).uniform(-2.5, 2.5, 60),
-        [0.0, -0.0, 1.999999, 2.0, 2.000001, -2.0, 2.5, -2.5],
+        [0.0, -0.0, 5e-324, -5e-324, *TINY_SIDES, *-TINY_SIDES,
+         1.999999, 2.0, 2.000001, -2.0, 2.5, -2.5],
     ])
 
     @pytest.mark.parametrize("n", [*range(0, 41), -1, -2, -7, -40, 120, -121])
