@@ -91,7 +91,9 @@ def closed_form_angles(p: ModulatorParams, gamma=None):
     sqrt(1 - u^2), which keeps the digits that arcsin(u) loses as |u| -> 1.
 
     ``gamma`` replaces p.gamma: a float gives a float, an array the array
-    of angles, each equal bit for bit to its float call.  The couplings are
+    of angles, each equal bit for bit to its float call.  A float coupling
+    runs as a numpy float64 scalar, whose +, -, * and / skip the array
+    dispatch and round as the array's do.  The couplings are
     checked first, through their extremes as Python floats: the smallest
     for sign, NaN and omega = gamma = 0, the largest for finiteness and an
     overflowing eigenphase 2*Gamma*T*S.
@@ -107,6 +109,8 @@ def closed_form_angles(p: ModulatorParams, gamma=None):
     if largest != smallest:
         top = mixing_angle(p, largest)
     _phase_rate(p, top.Gamma)  # Gamma grows with gamma
+    if g.ndim == 0:
+        g = g[()]  # the float64 scalar
     g_eff = 2.0 * g / p.n_modes
     half_detune = 0.5 * p.omega
     gamma_rabi = np.hypot(half_detune, g_eff)

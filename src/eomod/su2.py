@@ -75,7 +75,8 @@ class ModulatorParams:
     m_tilde: float = 0.0
 
     def __post_init__(self):
-        _check_spin(self.S)
+        # not a field: eq, hash, repr and asdict skip it, and replace() recomputes it
+        object.__setattr__(self, "_n_modes", _check_spin(self.S) + 1)
         if not (self.Omega > 0.0 and math.isfinite(self.Omega)):
             raise ValueError(f"Omega must be positive and finite, got {self.Omega}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
@@ -103,7 +104,7 @@ class ModulatorParams:
 
     @property
     def n_modes(self) -> int:
-        return _check_spin(self.S) + 1
+        return self._n_modes
 
     @property
     def omega_opt(self) -> float:

@@ -23,31 +23,42 @@ _RESCALE_LIMIT = 1e200
 
 def _miller_start(nmax, x):
     """Index where the backward recurrence for J_0..J_nmax(x) starts (x >= 0,
-    a float or an array)."""
+    an array).  :func:`_bessel_miller` computes the same integers for one
+    float with ``math.ceil`` and ``math.sqrt``."""
     turn = np.maximum(nmax, np.ceil(x)).astype(np.int64)
     return turn + 16 + np.ceil(np.sqrt(40.0 * np.maximum(turn, 1))).astype(np.int64)
 
 
 def _bessel_miller(nmax, x):
-    """J_0..J_nmax for x >= TINY_X via backward recurrence."""
-    out = np.zeros(nmax + 1)
+    """J_0..J_nmax for one float x >= TINY_X via backward recurrence.
+
+    The recurrence runs in Python floats, so a step makes no numpy call:
+    (2k / x) J_k - J_{k+1} is the same IEEE arithmetic as the grid's three
+    in-place array calls.  Each J_k goes into a list as it is made, a
+    rescale divides only the entries made so far, and the norm divides all
+    of them once, in one array call, at the end.
+    """
+    limit = _RESCALE_LIMIT
+    turn = max(nmax, math.ceil(x))
+    start = turn + 16 + math.ceil(math.sqrt(40.0 * max(turn, 1)))
+    vals = [0.0] * (nmax + 1)
     jp1 = 0.0
     jk = 1e-30
     norm = 0.0
-    for k in range(int(_miller_start(nmax, x)), 0, -1):
+    for k in range(start, 0, -1):
         jm1 = (2.0 * k / x) * jk - jp1
         jp1 = jk
         jk = jm1
         if k - 1 <= nmax:
-            out[k - 1] = jk
+            vals[k - 1] = jk
         if (k - 1) % 2 == 0:
             norm += jk if k == 1 else 2.0 * jk
-        if abs(jk) > _RESCALE_LIMIT:
-            jk /= _RESCALE_LIMIT
-            jp1 /= _RESCALE_LIMIT
-            norm /= _RESCALE_LIMIT
-            out /= _RESCALE_LIMIT
-    return out / norm
+        if abs(jk) > limit:
+            jk /= limit
+            jp1 /= limit
+            norm /= limit
+            vals[k - 1:] = [v / limit for v in vals[k - 1:]]
+    return np.array(vals) / norm
 
 
 def _bessel_miller_grid(n, x):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ class TestParams:
         assert p.n_modes == 7
         # a detuning below Omega's rounding step is kept, not lost to 30 - 1e-20
         assert params(detune=1e-20).omega == 1e-20
+
+    def test_stored_mode_count_is_not_a_field(self):
+        # n_modes is worked out once per record: replace() works it out again,
+        # and it takes no part in equality, hashing, repr or asdict
+        p = params(S=3)
+        assert dataclasses.replace(p, S=5.0).n_modes == 11
+        rebuilt = ModulatorParams(**dataclasses.asdict(p))
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert list(dataclasses.asdict(p)) == ["S", "Omega", "omega", "gamma", "T", "m_tilde"]
+        assert repr(p) == ("ModulatorParams(S=3, Omega=30.0, omega=0.1, gamma=2.0, "
+                           f"T={TP!r}, m_tilde=0.0)")
 
 
 class TestMixingAngle:
